@@ -23,7 +23,8 @@ METRICS = {
 
 @pytest.fixture(scope="module")
 def population_traces(platform):
-    return platform.acquire_population_traces(("HT2",), FIXED_PLAINTEXT, FIXED_KEY)
+    return platform.acquire_population_tensors(
+        ("HT2",), [FIXED_PLAINTEXT], FIXED_KEY).to_traces()
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))

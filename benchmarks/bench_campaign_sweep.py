@@ -26,6 +26,7 @@ from repro.core.pipeline import (
     PlatformConfig,
     run_population_em_study,
 )
+from tests.oracles.em import acquire_population_traces_serial
 
 NUM_DIES = 16
 TROJANS = ("HT1", "HT2", "HT3")
@@ -40,7 +41,7 @@ def _build_platform() -> HTDetectionPlatform:
 
 def _serial_study(platform: HTDetectionPlatform):
     """The pre-engine path: one ``acquire`` per (design, die)."""
-    traces = platform.acquire_population_traces_serial(TROJANS)
+    traces = acquire_population_traces_serial(platform, TROJANS)
     return run_population_em_study(platform, trojan_names=TROJANS,
                                    traces=traces)
 
@@ -96,10 +97,10 @@ def test_batched_acquisition_bitwise_matches_serial():
     platform_serial = _build_platform()
     platform_batch = _build_platform()
     golden_serial, infected_serial = (
-        platform_serial.acquire_population_traces_serial(TROJANS)
+        acquire_population_traces_serial(platform_serial, TROJANS)
     )
     golden_batch, infected_batch = (
-        platform_batch.acquire_population_traces(TROJANS)
+        platform_batch.acquire_population_tensors(TROJANS).to_traces()
     )
     for serial_trace, batch_trace in zip(golden_serial, golden_batch):
         assert np.array_equal(serial_trace.samples, batch_trace.samples)

@@ -5,8 +5,8 @@ fingerprint plus clean and infected devices, several (P, K) pairs,
 everything through ``PathDelayMeter``) runs **at least 5x faster**
 through the compiled batch path (``measure_batch`` on
 :class:`~repro.netlist.compiled.CompiledTimingEngine`) than through the
-interpreted per-cell reference loop (``measure`` per DUT on
-:class:`~repro.netlist.timing.TimingEngine`) — while producing
+interpreted per-pair reference loop (``tests.oracles.delay.measure`` per
+DUT on :class:`~repro.netlist.timing.TimingEngine`) — while producing
 bit-identical steps-to-fault matrices.
 """
 
@@ -21,6 +21,7 @@ from repro.measurement.delay_meter import (
     DelayMeasurementConfig,
     generate_pk_pairs,
 )
+from tests.oracles import delay as delay_oracle
 
 NUM_PAIRS = 6
 SEED = 2015
@@ -58,7 +59,7 @@ def test_compiled_delay_study_matches_interpreted_and_is_5x_faster(benchmark):
     meter, duts, pairs, glitch, seeds = _build_bench()
 
     start = time.perf_counter()
-    serial = [meter.measure(dut, pairs, glitch, seed=seed)
+    serial = [delay_oracle.measure(meter, dut, pairs, glitch, seed=seed)
               for dut, seed in zip(duts, seeds)]
     interpreted_seconds = time.perf_counter() - start
 
@@ -101,7 +102,7 @@ def test_compiled_two_vector_sweep_bitwise_matches_interpreted():
 
     meter, duts, pairs, _, _ = _build_bench()
     dut = duts[-1]
-    before, after = meter.pair_transitions(dut, pairs[0])
+    before, after = delay_oracle.pair_transitions(meter, dut, pairs[0])
     interpreted = TimingEngine(dut.netlist, dut.delay_annotation())
     compiled = CompiledTimingEngine(dut.netlist.compiled(),
                                     dut.delay_annotation())

@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.analysis.dfa import (
     dfa_key_scores,
-    dfa_key_scores_serial,
     recover_last_round_key,
 )
 from repro.crypto.batch import BatchedAES
 from repro.crypto.keyschedule import last_round_key
+from tests.oracles.scoring import dfa_key_scores_serial
 
 KEY = bytes(range(16))
 SEED = 2015

@@ -42,6 +42,7 @@ from repro.core.pipeline import (
     PlatformConfig,
     run_population_em_study,
 )
+from tests.oracles.scoring import scores_serial
 
 NUM_DIES = 8
 TROJANS = ("HT1", "HT2", "HT3")
@@ -100,7 +101,8 @@ def _acquire_population():
     platform = HTDetectionPlatform(
         config=PlatformConfig(num_dies=NUM_DIES, seed=SEED)
     )
-    golden, infected = platform.acquire_population_traces(TROJANS)
+    golden, infected = platform.acquire_population_tensors(
+        TROJANS).to_traces()
     fractions = {name: platform.infected_design(name).area_fraction_of_aes()
                  for name in TROJANS}
     return golden, infected, fractions
@@ -143,9 +145,9 @@ def _score_current_serial(golden, infected):
     """The per-trace loop over today's scalar reference."""
     metric = LocalMaximaSumMetric()
     reference = EMReference.from_traces(golden)
-    genuine_scores = metric.scores_serial(golden, reference.mean)
+    genuine_scores = scores_serial(metric, golden, reference.mean)
     scores = {
-        trojan: metric.scores_serial(infected[trojan], reference.mean)
+        trojan: scores_serial(metric, infected[trojan], reference.mean)
         for trojan in TROJANS
     }
     return _characterise_rows(genuine_scores, scores)

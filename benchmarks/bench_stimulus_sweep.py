@@ -8,8 +8,8 @@ synthesises a fig-scale (32 plaintexts x 8 dies) infected-population
 study as one (plaintexts x dies x samples) tensor — batched cipher,
 one compiled trojan-activity evaluation over all encryptions, one
 vectorised oscilloscope pass — and must be at least 5x faster than the
-serial per-plaintext ``acquire_many`` loop while staying bit-identical
-to it.
+serial per-plaintext ``acquire_many`` loop of ``tests.oracles.em``
+while staying bit-identical to it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.stimulus import DEFAULT_KEY, random_plaintexts
+from tests.oracles import em as em_oracle
 
 NUM_DIES = 8
 NUM_PLAINTEXTS = 32
@@ -49,7 +50,7 @@ def test_stimulus_batch_matches_serial_and_is_5x_faster(benchmark):
 
     start = time.perf_counter()
     serial = [
-        simulator.acquire_many(dut, plaintexts, DEFAULT_KEY, rng,
+        em_oracle.acquire_many(simulator, dut, plaintexts, DEFAULT_KEY, rng,
                                new_setup_installation=True)
         for dut, rng in zip(duts, _die_rngs())
     ]

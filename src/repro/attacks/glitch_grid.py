@@ -186,7 +186,8 @@ def synthesise_faulted_sweep(fault_model: SetupViolationFaultModel,
     order of :meth:`GlitchGrid.points`).  The rng layout is the fixed
     three-draw stream of
     :meth:`~repro.measurement.fault_injection.SetupViolationFaultModel.faulted_bits_population`,
-    whose serial reference pins the per-bit capture law.
+    which the test suite pins to a per-entry scalar walk of the capture
+    law.
     """
     correct = as_block_matrix(correct_ciphertexts, "correct_ciphertexts")
     stale = as_block_matrix(stale_states, "stale_states")

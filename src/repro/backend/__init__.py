@@ -19,14 +19,8 @@ Built-in backends:
     The same numpy namespace, but netlist evaluation runs through the
     uint64 bitplane kernel (:mod:`repro.netlist.bitslice`): 64 stimuli
     per machine word, Biham-style.
-``cupy``
-    The bitplane kernel over CuPy's array namespace (GPU resident).
-    Registered but *gated*: selecting it without CuPy installed raises
-    :class:`BackendError` — nothing in this repository imports or
-    requires CuPy.
-
-Further backends (numba JIT, JAX, ...) drop in through
-:func:`register_backend` without touching any kernel caller.
+Further backends drop in through :func:`register_backend` without
+touching any kernel caller.
 
 Backend selection is execution-only: every backend must produce results
 bit-identical to ``numpy``, so artifact-store content keys ignore the
@@ -57,7 +51,7 @@ class ArrayBackend:
     name:
         Registry name of the backend.
     xp:
-        The array namespace (``numpy``, ``cupy``, ...).  Kernel code
+        The array namespace (``numpy`` for the built-ins).  Kernel code
         routes array creation and ufuncs through this object.
     bitslice:
         When true, netlist logic evaluation runs through the packed
@@ -77,23 +71,11 @@ def _make_bitslice() -> ArrayBackend:
     return ArrayBackend(name="bitslice", xp=np, bitslice=True)
 
 
-def _make_cupy() -> ArrayBackend:
-    try:
-        import cupy  # type: ignore[import-not-found]
-    except ImportError as exc:
-        raise BackendError(
-            "backend 'cupy' requires the cupy package, which is not "
-            "installed; use 'numpy' or 'bitslice' instead"
-        ) from exc
-    return ArrayBackend(name="cupy", xp=cupy, bitslice=True)
-
-
-#: Name -> factory.  Factories run on first request so optional
-#: dependencies (CuPy) are only imported when their backend is selected.
+#: Name -> factory.  Factories run on first request, so a registered
+#: backend only imports its dependencies when it is selected.
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": _make_numpy,
     "bitslice": _make_bitslice,
-    "cupy": _make_cupy,
 }
 
 _CACHE: Dict[str, ArrayBackend] = {}
@@ -101,7 +83,7 @@ _LOCK = threading.Lock()
 
 
 def known_backend_names() -> Tuple[str, ...]:
-    """Registered backend names (available or gated), sorted."""
+    """Registered backend names, sorted."""
     return tuple(sorted(_FACTORIES))
 
 

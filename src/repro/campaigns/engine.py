@@ -611,18 +611,9 @@ class CampaignEngine:
         cache_key = cell.acquisition_key
         if cache_key in self._tensor_cache:
             return self._tensor_cache[cache_key]
-        plaintexts = self.spec.stimulus_plaintexts()
-        platform = self.platform_for(cell)
-        if len(plaintexts) == 1:
-            tensors = platform.acquire_population_tensors(
-                self.spec.trojans, plaintexts[0], self.spec.key
-            )
-        else:
-            # Whole-stimulus tensor acquisition with one axis reduction
-            # per design (:func:`average_stimulus_tensor`).
-            tensors = platform.acquire_population_tensors_stimuli(
-                self.spec.trojans, plaintexts, self.spec.key
-            )
+        tensors = self.platform_for(cell).acquire_population_tensors(
+            self.spec.trojans, self.spec.stimulus_plaintexts(), self.spec.key
+        )
         self._tensor_cache[cache_key] = tensors
         self._matrix_cache.setdefault(
             cache_key,

@@ -60,6 +60,7 @@ from .core.report import (
     same_die_em_report,
 )
 from .experiments import ExperimentConfig, headline, runner, table_ht_sizes
+from .trojan.library import available_trojans
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -69,10 +70,28 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _add_trojan_option(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument("--trojan", action="append", default=None,
+                        choices=available_trojans(), help=help_text)
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="reduced campaign sizes (seconds instead of minutes)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the campaign seed")
 
 
@@ -490,14 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delay = subparsers.add_parser("delay", help="run the delay study (Sec. III)")
     _add_common_options(p_delay)
-    p_delay.add_argument("--trojan", action="append",
-                         default=None, help="trojan name (repeatable)")
+    _add_trojan_option(p_delay, "trojan name (repeatable)")
     p_delay.set_defaults(func=cmd_delay)
 
     p_em = subparsers.add_parser("em", help="run the same-die EM study (Sec. IV)")
     _add_common_options(p_em)
-    p_em.add_argument("--trojan", action="append", default=None,
-                      help="trojan name (repeatable)")
+    _add_trojan_option(p_em, "trojan name (repeatable)")
     p_em.set_defaults(func=cmd_em)
 
     p_headline = subparsers.add_parser(
@@ -527,8 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--spec", default=None,
                        help="JSON campaign spec (overrides the flags below)")
     p_run.add_argument("--name", default="campaign", help="campaign name")
-    p_run.add_argument("--trojan", action="append", default=None,
-                       help="trojan name (repeatable; default HT1 HT2 HT3)")
+    _add_trojan_option(p_run, "trojan name (repeatable; default HT1 HT2 HT3)")
     p_run.add_argument("--dies", action="append", type=int, default=None,
                        help="die-population size (repeatable; default 8)")
     p_run.add_argument("--metric", action="append", default=None,
@@ -536,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="detection metric (repeatable); delay_* metrics "
                             "run the clock-glitch delay study instead of an "
                             "EM acquisition")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_seed, default=None,
                        help="override the campaign seed")
     p_run.add_argument("--pk-pairs", type=int, default=None, dest="pk_pairs",
                        help="(P, K) stimuli per delay-study cell")
@@ -667,15 +683,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_attack_spec_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--name", default="attack", help="campaign name")
-        sub.add_argument("--trojan", action="append", default=None,
-                         help="trojan name (repeatable; default HT1)")
+        _add_trojan_option(sub, "trojan name (repeatable; default HT1)")
         sub.add_argument("--dies", action="append", type=int, default=None,
                          help="die-population size (repeatable; default 3)")
         sub.add_argument("--plaintexts", type=int, default=4,
                          help="stimulus diversity: the fixed plaintext plus "
                               "N-1 seed-derived random plaintexts (DFA needs "
                               ">= 2 distinct stimuli; default 4)")
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=_seed, default=None,
                          help="override the campaign seed")
         sub.add_argument("--offset", action="append", type=float,
                          default=None, metavar="PS",
@@ -731,6 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    trojans = getattr(args, "trojan", None) or []
+    repeated = sorted({name for name in trojans if trojans.count(name) > 1})
+    if repeated:
+        parser.error(f"argument --trojan: repeated {', '.join(repeated)}")
     if getattr(args, "trojan", None) is None and args.command in ("delay", "em"):
         args.trojan = ["HT_comb", "HT_seq"] if args.command == "delay" else ["HT_comb"]
     return args.func(args)

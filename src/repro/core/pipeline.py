@@ -34,7 +34,12 @@ from ..measurement.delay_meter import (
     generate_pk_pairs,
 )
 from ..measurement.dut import DeviceUnderTest
-from ..measurement.em_simulator import EMAcquisitionConfig, EMSimulator, EMTrace
+from ..measurement.em_simulator import (
+    EMAcquisitionConfig,
+    EMSimulator,
+    EMTrace,
+    wrap_traces,
+)
 from ..trojan.insertion import InfectedDesign, insert_trojan
 from ..trojan.library import build_trojan
 from ..variation.inter_die import DiePopulation, DieProfile
@@ -124,16 +129,8 @@ class PopulationTraceTensors:
 
     def _wrap(self, matrix: np.ndarray, labels: Sequence[str]
               ) -> List[EMTrace]:
-        return [
-            EMTrace(
-                samples=matrix[row].copy(),
-                label=labels[row],
-                plaintext=self.plaintext,
-                sample_period_ns=self.sample_period_ns,
-                cycle_sample_offsets=list(self.cycle_sample_offsets),
-            )
-            for row in range(matrix.shape[0])
-        ]
+        return wrap_traces(matrix, labels, [self.plaintext] * len(labels),
+                           self.sample_period_ns, self.cycle_sample_offsets)
 
     def to_traces(self) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
         """Wrap the tensors into per-die :class:`EMTrace` lists."""
@@ -142,6 +139,15 @@ class PopulationTraceTensors:
             {name: self._wrap(matrix, self.infected_labels[name])
              for name, matrix in self.infected.items()},
         )
+
+
+def _distinct_names(trojan_names: Sequence[str]) -> List[str]:
+    """``trojan_names`` as a list; a repeated name is an error."""
+    names = list(trojan_names)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"duplicate trojan names: {', '.join(repeated)}")
+    return names
 
 
 class HTDetectionPlatform:
@@ -201,30 +207,29 @@ class HTDetectionPlatform:
         Two clean campaigns ("Clean1", "Clean2") are always included —
         they are the paper's control showing the noise floor.
         """
+        trojan_names = _distinct_names(trojan_names)
         pairs = generate_pk_pairs(num_pairs, seed=pair_seed)
         golden_dut = self.golden_dut(die_index, label="GM")
         # Per-pair sweeps calibrated once on the golden model and reused for
         # every device under test, so step counts stay comparable.
         glitch = self.delay_meter.calibrate_glitches(golden_dut, pairs)
 
-        fingerprint_measurement = self.delay_meter.measure(
-            golden_dut, pairs, glitch, seed=self.config.seed
+        labels = ["Clean1", "Clean2", *trojan_names]
+        duts = [golden_dut]
+        duts += [self.golden_dut(die_index, label=label)
+                 for label in labels[:2]]
+        duts += [self.infected_dut(name, die_index, label=name)
+                 for name in trojan_names]
+        seed = self.config.seed
+        seeds = [seed, seed + 101, seed + 102]
+        seeds += [seed + 200 + index for index in range(len(trojan_names))]
+        fingerprint_measurement, *device_measurements = (
+            self.delay_meter.measure_batch(duts, pairs, glitch, seeds=seeds)
         )
         fingerprint = DelayFingerprint.from_measurement(fingerprint_measurement)
         detector = DelayDetector(fingerprint)
-
-        measurements: Dict[str, DelayMeasurement] = {}
-        for clean_index in (1, 2):
-            label = f"Clean{clean_index}"
-            dut = self.golden_dut(die_index, label=label)
-            measurements[label] = self.delay_meter.measure(
-                dut, pairs, glitch, seed=self.config.seed + 100 + clean_index
-            )
-        for trojan_index, name in enumerate(trojan_names):
-            dut = self.infected_dut(name, die_index, label=name)
-            measurements[name] = self.delay_meter.measure(
-                dut, pairs, glitch, seed=self.config.seed + 200 + trojan_index
-            )
+        measurements: Dict[str, DelayMeasurement] = dict(
+            zip(labels, device_measurements))
 
         detector.calibrate_with_clean([measurements["Clean1"]])
         comparisons = {label: detector.compare(measurement)
@@ -245,6 +250,7 @@ class HTDetectionPlatform:
                               num_golden_acquisitions: int = 2
                               ) -> SameDieEMStudyResult:
         """Averaged-trace comparison of genuine and infected designs, one die."""
+        trojan_names = _distinct_names(trojan_names)
         plaintext = plaintext if plaintext is not None else bytes(range(16))
         key = key if key is not None else bytes.fromhex(
             "000102030405060708090a0b0c0d0e0f"
@@ -279,221 +285,60 @@ class HTDetectionPlatform:
 
     # -- Sec. V: population EM study -------------------------------------------------------------
 
-    def _population_stimulus(self, plaintext: Optional[bytes],
-                             key: Optional[bytes]) -> "tuple[bytes, bytes]":
-        plaintext = plaintext if plaintext is not None else DEFAULT_PLAINTEXT
-        key = key if key is not None else DEFAULT_KEY
-        return plaintext, key
-
     def _die_rngs(self) -> List[np.random.Generator]:
         """One noise stream per die, seeded as the Sec. V campaign does."""
         return [np.random.default_rng(self.config.seed + 1000 + die_index)
                 for die_index in range(len(self.population))]
 
     def acquire_population_tensors(self, trojan_names: Sequence[str],
-                                   plaintext: Optional[bytes] = None,
+                                   plaintexts: Optional[Sequence[bytes]] = None,
                                    key: Optional[bytes] = None
                                    ) -> "PopulationTraceTensors":
-        """The Sec. V-A population as matrix-resident sample tensors.
+        """The Sec. V population: one averaged trace per (design, die).
 
-        Every design's die population is synthesised as one
-        ``(dies, samples)`` matrix
-        (:meth:`EMSimulator.acquire_batch_matrix`); no
-        :class:`EMTrace` objects are built — scoring consumes the
-        matrices directly and
-        :meth:`PopulationTraceTensors.to_traces` wraps them at the
-        persistence/report boundary.  Each die keeps its own noise
-        stream, consumed in the same order as the per-die loop of
-        :meth:`acquire_population_traces_serial`, so every row is
-        bit-identical to the serial reference implementation.
+        ``plaintexts`` is the stimulus set (default: the fixed Sec. V
+        plaintext alone).  Every design's (plaintext x die) grid is one
+        :meth:`EMSimulator.acquire_many_batch_tensor` call, collapsed to
+        each die's stimulus-averaged trace with one axis reduction
+        (:func:`average_stimulus_tensor`; a single stimulus passes
+        through unchanged).  Each die keeps its own noise stream,
+        consumed golden design first, then the trojans in order.  The
+        result is matrix-resident; :meth:`PopulationTraceTensors.to_traces`
+        wraps it into :class:`EMTrace` lists at a report boundary.
         """
-        plaintext, key = self._population_stimulus(plaintext, key)
+        plaintexts = ([DEFAULT_PLAINTEXT] if plaintexts is None
+                      else [bytes(plaintext) for plaintext in plaintexts])
+        if not plaintexts:
+            raise ValueError("plaintexts must contain at least one stimulus")
+        key = key if key is not None else DEFAULT_KEY
         die_indices = range(len(self.population))
         rngs = self._die_rngs()
+
+        def acquire(duts: Sequence[DeviceUnderTest]):
+            grid, offsets = self.em_simulator.acquire_many_batch_tensor(
+                duts, plaintexts, key, rngs, new_setup_installation=True,
+            )
+            return average_stimulus_tensor(grid), offsets
+
         golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
-        golden, cycle_offsets = self.em_simulator.acquire_batch_matrix(
-            golden_duts, plaintext, key, rngs, new_setup_installation=True,
-        )
+        golden, cycle_offsets = acquire(golden_duts)
         infected: Dict[str, np.ndarray] = {}
         infected_labels: Dict[str, List[str]] = {}
         for name in trojan_names:
             duts = [self.infected_dut(name, die_index)
                     for die_index in die_indices]
-            infected[name], _ = self.em_simulator.acquire_batch_matrix(
-                duts, plaintext, key, rngs, new_setup_installation=True,
-            )
+            infected[name], _ = acquire(duts)
             infected_labels[name] = [dut.label for dut in duts]
         return PopulationTraceTensors(
             golden=golden,
             infected=infected,
             golden_labels=[dut.label for dut in golden_duts],
             infected_labels=infected_labels,
-            plaintext=bytes(plaintext),
+            plaintext=plaintexts[0],
             sample_period_ns=1.0
             / self.config.em.oscilloscope.sample_rate_gsps,
             cycle_sample_offsets=list(cycle_offsets),
         )
-
-    def acquire_population_traces(self, trojan_names: Sequence[str],
-                                  plaintext: Optional[bytes] = None,
-                                  key: Optional[bytes] = None
-                                  ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
-        """One averaged trace per (design, die): the 32 traces of Sec. V-A.
-
-        Thin :class:`EMTrace` wrapper over
-        :meth:`acquire_population_tensors` (the persistence/report
-        boundary); bit-identical to the serial reference
-        :meth:`acquire_population_traces_serial`.
-        """
-        return self.acquire_population_tensors(
-            trojan_names, plaintext, key
-        ).to_traces()
-
-    def acquire_population_traces_serial(self, trojan_names: Sequence[str],
-                                         plaintext: Optional[bytes] = None,
-                                         key: Optional[bytes] = None
-                                         ) -> "tuple[List[EMTrace], Dict[str, List[EMTrace]]]":
-        """Reference per-die acquisition loop (one :meth:`acquire` per DUT).
-
-        Kept as the ground truth the batched path is validated (and
-        benchmarked) against.
-        """
-        plaintext, key = self._population_stimulus(plaintext, key)
-        golden_traces: List[EMTrace] = []
-        infected_traces: Dict[str, List[EMTrace]] = {name: [] for name in trojan_names}
-        for die_index, rng in enumerate(self._die_rngs()):
-            golden_traces.append(
-                self.em_simulator.acquire(
-                    self.golden_dut(die_index), plaintext, key, rng,
-                    new_setup_installation=True,
-                )
-            )
-            for name in trojan_names:
-                infected_traces[name].append(
-                    self.em_simulator.acquire(
-                        self.infected_dut(name, die_index), plaintext, key, rng,
-                        new_setup_installation=True,
-                    )
-                )
-        return golden_traces, infected_traces
-
-    # -- random-plaintext (multi-stimulus) population acquisition ---------------
-
-    def acquire_population_tensors_stimuli(self, trojan_names: Sequence[str],
-                                           plaintexts: Sequence[bytes],
-                                           key: Optional[bytes] = None
-                                           ) -> "PopulationTraceTensors":
-        """Stimulus-averaged population as matrix-resident tensors.
-
-        Every design's whole (plaintext x die) grid is synthesised as
-        one ``(plaintexts, dies, samples)`` tensor
-        (:meth:`EMSimulator.acquire_many_batch_tensor`) and collapsed to
-        each die's stimulus-averaged trace with one axis reduction
-        (:func:`average_stimulus_tensor`) — the multi-stimulus Sec. V
-        comparison without a single :class:`EMTrace` in flight.  Each
-        plane is bit-identical to the serial reference
-        :meth:`acquire_population_traces_stimuli_serial`, and the
-        averaged rows equal :func:`average_stimulus_traces` on the
-        wrapped grid.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        die_indices = range(len(self.population))
-        rngs = self._die_rngs()
-        golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
-        golden_grid, cycle_offsets = (
-            self.em_simulator.acquire_many_batch_tensor(
-                golden_duts, plaintexts, key, rngs,
-                new_setup_installation=True,
-            )
-        )
-        infected: Dict[str, np.ndarray] = {}
-        infected_labels: Dict[str, List[str]] = {}
-        for name in trojan_names:
-            duts = [self.infected_dut(name, die_index)
-                    for die_index in die_indices]
-            grid, _ = self.em_simulator.acquire_many_batch_tensor(
-                duts, plaintexts, key, rngs, new_setup_installation=True,
-            )
-            infected[name] = average_stimulus_tensor(grid)
-            infected_labels[name] = [dut.label for dut in duts]
-        return PopulationTraceTensors(
-            golden=average_stimulus_tensor(golden_grid),
-            infected=infected,
-            golden_labels=[dut.label for dut in golden_duts],
-            infected_labels=infected_labels,
-            plaintext=bytes(plaintexts[0]),
-            sample_period_ns=1.0
-            / self.config.em.oscilloscope.sample_rate_gsps,
-            cycle_sample_offsets=list(cycle_offsets),
-        )
-
-    def acquire_population_traces_stimuli(self, trojan_names: Sequence[str],
-                                          plaintexts: Sequence[bytes],
-                                          key: Optional[bytes] = None
-                                          ) -> "tuple[List[List[EMTrace]], Dict[str, List[List[EMTrace]]]]":
-        """Population traces over a whole *stimulus set* in batched passes.
-
-        Every design's (plaintext x die) grid is synthesised by one
-        :meth:`EMSimulator.acquire_many_batch` call — the batched AES
-        kernel prices all plaintexts at once, the trojan activity of all
-        encryptions comes from one compiled-kernel evaluation, and the
-        oscilloscope noise/quantise pass is vectorised.  Each die keeps
-        its own noise stream, consumed in the order of
-        :meth:`acquire_population_traces_stimuli_serial`, so the result
-        is bit-identical to that serial reference.
-
-        Returns ``(golden, infected)`` with ``golden[die][plaintext]``
-        and ``infected[name][die][plaintext]``.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        die_indices = range(len(self.population))
-        rngs = self._die_rngs()
-        golden_traces = self.em_simulator.acquire_many_batch(
-            [self.golden_dut(die_index) for die_index in die_indices],
-            plaintexts, key, rngs, new_setup_installation=True,
-        )
-        infected_traces: Dict[str, List[List[EMTrace]]] = {}
-        for name in trojan_names:
-            infected_traces[name] = self.em_simulator.acquire_many_batch(
-                [self.infected_dut(name, die_index)
-                 for die_index in die_indices],
-                plaintexts, key, rngs, new_setup_installation=True,
-            )
-        return golden_traces, infected_traces
-
-    def acquire_population_traces_stimuli_serial(
-            self, trojan_names: Sequence[str], plaintexts: Sequence[bytes],
-            key: Optional[bytes] = None
-            ) -> "tuple[List[List[EMTrace]], Dict[str, List[List[EMTrace]]]]":
-        """Reference nested loop for the multi-stimulus acquisition.
-
-        One serial :meth:`EMSimulator.acquire_many` per (design, die),
-        golden first, in die order — the ground truth
-        :meth:`acquire_population_traces_stimuli` is validated (and
-        benchmarked) against.
-        """
-        key = key if key is not None else DEFAULT_KEY
-        golden_traces: List[List[EMTrace]] = []
-        infected_traces: Dict[str, List[List[EMTrace]]] = {
-            name: [] for name in trojan_names
-        }
-        rngs = self._die_rngs()
-        for die_index, rng in enumerate(rngs):
-            golden_traces.append(
-                self.em_simulator.acquire_many(
-                    self.golden_dut(die_index), plaintexts, key, rng,
-                    new_setup_installation=True,
-                )
-            )
-        for name in trojan_names:
-            for die_index, rng in enumerate(rngs):
-                infected_traces[name].append(
-                    self.em_simulator.acquire_many(
-                        self.infected_dut(name, die_index), plaintexts, key,
-                        rng, new_setup_installation=True,
-                    )
-                )
-        return golden_traces, infected_traces
 
     def run_population_em_study(self, trojan_names: Sequence[str] = ("HT1", "HT2", "HT3"),
                                 plaintext: Optional[bytes] = None,
@@ -517,10 +362,9 @@ class HTDetectionPlatform:
 def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     """Collapse a ``(plaintexts, dies, samples)`` tensor to per-die means.
 
-    One axis reduction — the tensor-resident counterpart of
-    :func:`average_stimulus_traces` (the serial reference it is
-    bit-identical to): a random-plaintext campaign characterises each
-    die by the mean of its per-stimulus averaged traces, and golden and
+    A random-plaintext campaign characterises each die by the mean of
+    its per-stimulus averaged traces (the multi-stimulus analogue of the
+    oscilloscope's 1 000-fold same-stimulus averaging); golden and
     infected devices are averaged over the *same* stimulus set, so the
     Sec. V comparison stays like-for-like.
     """
@@ -530,34 +374,6 @@ def average_stimulus_tensor(grid: np.ndarray) -> np.ndarray:
     if tensor.shape[0] == 0:
         raise ValueError("every die needs at least one stimulus trace")
     return tensor.mean(axis=0)
-
-
-def average_stimulus_traces(per_die_traces: Sequence[Sequence[EMTrace]]
-                            ) -> List[EMTrace]:
-    """Collapse a (die x plaintext) trace grid to one trace per die.
-
-    A random-plaintext campaign characterises each die by the mean of
-    its per-stimulus averaged traces (the multi-stimulus analogue of the
-    oscilloscope's 1 000-fold same-stimulus averaging); the golden
-    reference and every infected device are averaged over the *same*
-    stimulus set, so the Sec. V comparison stays like-for-like.
-    Serial (:class:`EMTrace`-level) reference of
-    :func:`average_stimulus_tensor`.
-    """
-    averaged: List[EMTrace] = []
-    for die_traces in per_die_traces:
-        if not die_traces:
-            raise ValueError("every die needs at least one stimulus trace")
-        first = die_traces[0]
-        samples = np.mean([trace.samples for trace in die_traces], axis=0)
-        averaged.append(EMTrace(
-            samples=samples,
-            label=first.label,
-            plaintext=first.plaintext,
-            sample_period_ns=first.sample_period_ns,
-            cycle_sample_offsets=list(first.cycle_sample_offsets),
-        ))
-    return averaged
 
 
 def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
@@ -602,18 +418,11 @@ def run_population_em_study(platform: "Optional[HTDetectionPlatform]",
     if traces is None:
         if plaintexts is not None and plaintext is not None:
             raise ValueError("pass either plaintext or plaintexts, not both")
-        if plaintexts is not None and not plaintexts:
-            raise ValueError("plaintexts must contain at least one stimulus")
-        if plaintexts is not None and len(plaintexts) > 1:
-            tensors = platform.acquire_population_tensors_stimuli(
-                trojan_names, plaintexts, key
-            )
-        else:
-            if plaintexts is not None:
-                plaintext = plaintexts[0]
-            tensors = platform.acquire_population_tensors(
-                trojan_names, plaintext, key
-            )
+        if plaintext is not None:
+            plaintexts = [plaintext]
+        tensors = platform.acquire_population_tensors(
+            trojan_names, plaintexts, key
+        )
         golden_matrix = tensors.golden
         infected_matrices = {name: tensors.infected[name]
                              for name in trojan_names}

@@ -70,9 +70,10 @@ def run(config: Optional[ExperimentConfig] = None,
     if traces is not None:
         golden_traces, infected_traces = traces
     else:
-        golden_traces, infected_traces = platform.acquire_population_traces(
-            trojan_names, plaintext=FIXED_PLAINTEXT, key=FIXED_KEY
+        tensors = platform.acquire_population_tensors(
+            trojan_names, plaintexts=[FIXED_PLAINTEXT], key=FIXED_KEY
         )
+        golden_traces, infected_traces = tensors.golden, tensors.infected
     # Matrix-resident difference build: stack each population once (a
     # pre-stacked ndarray passes through) and take the |G_j - E(G)|
     # planes from one batched abs-difference per design — bit-identical

@@ -64,9 +64,9 @@ def run(config: Optional[ExperimentConfig] = None,
     config = config or ExperimentConfig.fast()
     platform = platform or config.build_platform()
 
-    golden_traces, infected_traces = platform.acquire_population_traces(
-        (trojan_name,), plaintext=FIXED_PLAINTEXT, key=FIXED_KEY
-    )
+    golden_traces, infected_traces = platform.acquire_population_tensors(
+        (trojan_name,), plaintexts=[FIXED_PLAINTEXT], key=FIXED_KEY
+    ).to_traces()
     detector = PopulationEMDetector()
     detector.fit_reference(golden_traces)
     characterisation = detector.characterise(infected_traces[trojan_name])

@@ -90,9 +90,9 @@ def _store_backed_population_study(platform: HTDetectionPlatform,
     if artifact_key in store:
         traces = unpack_population_traces(store.get_arrays(artifact_key))
     else:
-        traces = platform.acquire_population_traces(
-            trojans, FIXED_PLAINTEXT, FIXED_KEY
-        )
+        traces = platform.acquire_population_tensors(
+            trojans, plaintexts=[FIXED_PLAINTEXT], key=FIXED_KEY
+        ).to_traces()
         store.put_arrays(
             artifact_key, pack_population_traces(*traces),
             kind="population_traces",

@@ -27,14 +27,13 @@ detection metric performs is relative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..crypto.aes import AES
 from ..crypto.batch import BatchedAES, switching_activity_counts
-from ..crypto.state import hamming_distance
 from .dut import DeviceUnderTest
 from .em_probe import Amplifier, EMProbe, probe_impulse_response
 from .noise import EMNoiseModel
@@ -186,46 +185,6 @@ class EMSimulator:
 
     # -- activity model ---------------------------------------------------------
 
-    def host_cycle_activities(self, aes: AES, plaintext: bytes) -> List[float]:
-        """Per-cycle switching activity of the host AES (load + rounds)."""
-        config = self.config
-        trace = aes.encrypt_trace(plaintext)
-        register_toggles = trace.switching_activities()
-        activities = []
-        for toggles in register_toggles:
-            activities.append(
-                config.baseline_activity
-                + config.register_toggle_weight * toggles
-                * (1.0 + config.combinational_activity_factor)
-            )
-        return activities
-
-    def trojan_cycle_activities(self, dut: DeviceUnderTest, aes: AES,
-                                plaintext: bytes,
-                                encryption_index: int = 0) -> List[float]:
-        """Per-cycle dormant activity of the inserted trojan (zeros if clean).
-
-        Two components: the data-dependent toggles of the trigger logic
-        (evaluated on the trojan's structural netlist — one compiled
-        batch per encryption rather than one interpreted walk per
-        cycle), and the size-proportional clock/configuration load of
-        every trojan cell, which is present on every cycle.
-        """
-        config = self.config
-        trace = aes.encrypt_trace(plaintext)
-        num_cycles = 1 + trace.num_rounds
-        if dut.trojan is None:
-            return [0.0] * num_cycles
-        register_states: List[bytes] = [plaintext, trace.initial_state]
-        register_states.extend(record.state_out for record in trace.rounds)
-        activities = dut.trojan.encryption_activity(
-            register_states, encryption_index=encryption_index
-        )
-        clock_load = (config.trojan_clock_load_per_cell
-                      * dut.trojan.cell_count())
-        return [clock_load + activity.weighted(config.trojan_pin_toggle_weight)
-                for activity in activities]
-
     def trojan_probe_coupling(self, dut: DeviceUnderTest) -> float:
         """Coupling between the trojan slices and the probe."""
         if dut.infected is None:
@@ -264,230 +223,22 @@ class EMSimulator:
 
     # -- trace synthesis -----------------------------------------------------------
 
-    def noiseless_trace(self, dut: DeviceUnderTest, plaintext: bytes,
-                        key: bytes, encryption_index: int = 0) -> EMTrace:
-        """Deterministic emission of one encryption (no noise, no setup error)."""
-        config = self.config
-        aes = AES(key)
-        host_activity = self.host_cycle_activities(aes, plaintext)
-        trojan_activity = self.trojan_cycle_activities(
-            dut, aes, plaintext, encryption_index
-        )
-        num_rounds = len(host_activity) - 1
-        samples_per_cycle = config.samples_per_cycle
-        total_samples = config.total_samples(num_rounds)
-        signal = np.zeros(total_samples)
-
-        host_coupling = self.host_probe_coupling(dut)
-        trojan_coupling = self.trojan_probe_coupling(dut)
-        cycle_gains = self.die_cycle_gains(dut, len(host_activity))
-        base_gain = dut.em_gain()
-
-        cycle_offsets: List[int] = []
-        for cycle in range(len(host_activity)):
-            offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
-            cycle_offsets.append(offset)
-            amplitude = cycle_gains[cycle] * config.activity_to_amplitude * (
-                host_coupling * host_activity[cycle]
-                + trojan_coupling * trojan_activity[cycle]
-            )
-            end = min(total_samples, offset + self._kernel.size)
-            signal[offset:end] += amplitude * self._kernel[: end - offset]
-
-        # Idle cycles still show the clock-tree baseline.
-        idle_cycles = list(range(config.pre_trigger_cycles)) + [
-            config.pre_trigger_cycles + len(host_activity) + cycle
-            for cycle in range(config.post_trigger_cycles)
-        ]
-        for cycle_index in idle_cycles:
-            offset = cycle_index * samples_per_cycle
-            amplitude = base_gain * config.activity_to_amplitude * host_coupling \
-                * config.baseline_activity
-            end = min(total_samples, offset + self._kernel.size)
-            signal[offset:end] += amplitude * self._kernel[: end - offset]
-
-        signal = config.amplifier.amplify(signal) + dut.em_offset()
-        return EMTrace(
-            samples=signal,
-            label=dut.label,
-            plaintext=bytes(plaintext),
-            sample_period_ns=1.0 / config.oscilloscope.sample_rate_gsps,
-            cycle_sample_offsets=cycle_offsets,
-        )
-
     def acquire(self, dut: DeviceUnderTest, plaintext: bytes, key: bytes,
                 rng: np.random.Generator,
                 encryption_index: int = 0,
                 new_setup_installation: bool = False) -> EMTrace:
-        """Acquire one averaged trace as the oscilloscope would store it.
-
-        Parameters
-        ----------
-        new_setup_installation:
-            When True, a fresh setup (probe repositioning, board
-            reinstallation) gain/offset perturbation is drawn — this is
-            the effect Fig. 5 demonstrates to be negligible after
-            1 000-fold averaging.
-        """
-        trace = self.noiseless_trace(dut, plaintext, key, encryption_index)
-        config = self.config
-        signal = trace.samples
-        if new_setup_installation:
-            gain, offset = config.noise.sample_setup_perturbation(rng)
-            signal = signal * gain + offset
-        signal = config.oscilloscope.acquire(
-            signal,
-            noise_sigma_single_shot=config.noise.sigma_single_shot,
-            rng=rng,
-            quantise=config.quantise,
-        )
-        acquired = trace.copy()
-        acquired.samples = signal
-        return acquired
+        """Acquire one averaged trace as the oscilloscope would store it."""
+        return self.acquire_batch([dut], plaintext, key, rng,
+                                  encryption_index, new_setup_installation)[0]
 
     def acquire_many(self, dut: DeviceUnderTest, plaintexts: Sequence[bytes],
                      key: bytes, rng: np.random.Generator,
                      new_setup_installation: bool = False) -> List[EMTrace]:
-        """Acquire one averaged trace per plaintext (random-plaintext campaign).
-
-        This per-plaintext loop is the serial reference
-        :meth:`acquire_many_batch` is tested (and benchmarked) against.
-        """
-        return [
-            self.acquire(dut, plaintext, key, rng, encryption_index=index,
-                         new_setup_installation=new_setup_installation)
-            for index, plaintext in enumerate(plaintexts)
-        ]
+        """One averaged trace per plaintext (random-plaintext campaign)."""
+        return self.acquire_many_batch([dut], plaintexts, key, rng,
+                                       new_setup_installation)[0]
 
     # -- batched acquisition -----------------------------------------------------
-
-    def _cached_host_activities(self, aes: AES, plaintext: bytes,
-                                key: bytes) -> List[float]:
-        cache_key = (bytes(key), bytes(plaintext))
-        if cache_key not in self._host_activity_cache:
-            self._cache_insert(
-                self._host_activity_cache, cache_key,
-                self.host_cycle_activities(aes, plaintext),
-                self.host_activity_cache_entries,
-            )
-        return self._host_activity_cache[cache_key]
-
-    def _cached_trojan_activities(self, dut: DeviceUnderTest, aes: AES,
-                                  plaintext: bytes, key: bytes,
-                                  encryption_index: int) -> List[float]:
-        cache_key = (id(dut.design), bytes(key), bytes(plaintext),
-                     encryption_index)
-        entry = self._trojan_activity_cache.get(cache_key)
-        if entry is None or entry[0] is not dut.design:
-            activities = self.trojan_cycle_activities(
-                dut, aes, plaintext, encryption_index
-            )
-            entry = (dut.design, activities)
-            self._cache_insert(self._trojan_activity_cache, cache_key, entry,
-                               self.trojan_activity_cache_entries)
-        return entry[1]
-
-    def batch_noiseless_matrix(self, duts: Sequence[DeviceUnderTest],
-                               plaintext: bytes, key: bytes,
-                               encryption_index: int = 0
-                               ) -> "Tuple[np.ndarray, List[int]]":
-        """Deterministic emissions of one encryption as a ``(duts, samples)`` matrix.
-
-        The expensive stimulus-dependent work (AES round trace, host and
-        trojan switching activity, probe couplings) is evaluated once per
-        *design* appearing in ``duts``; only the per-die EM gains and
-        offsets differ between rows, so the whole population is
-        synthesised in one vectorised NumPy pass.  Every row is
-        arithmetically identical to what :meth:`noiseless_trace` produces
-        for the same DUT.  Returns ``(signal, cycle_sample_offsets)``;
-        no :class:`EMTrace` objects are built — wrap through
-        :meth:`batch_noiseless_traces` at a persistence/report boundary.
-        """
-        if not duts:
-            raise ValueError("at least one DUT is required")
-        config = self.config
-        aes = AES(key)
-        host_activity = self._cached_host_activities(aes, plaintext, key)
-        host_arr = np.asarray(host_activity, dtype=float)
-        num_cycles = len(host_activity)
-        num_rounds = num_cycles - 1
-        samples_per_cycle = config.samples_per_cycle
-        total_samples = config.total_samples(num_rounds)
-        num_duts = len(duts)
-        kernel = self._kernel
-
-        # Per-design coupled activity, evaluated once per unique design.
-        coupled_by_design: Dict[int, Tuple[np.ndarray, float]] = {}
-        coupled = np.empty((num_duts, num_cycles))
-        host_couplings = np.empty(num_duts)
-        for row, dut in enumerate(duts):
-            design_key = id(dut.design)
-            if design_key not in coupled_by_design:
-                trojan_arr = np.asarray(
-                    self._cached_trojan_activities(
-                        dut, aes, plaintext, key, encryption_index
-                    ),
-                    dtype=float,
-                )
-                host_coupling = self.host_probe_coupling(dut)
-                coupled_by_design[design_key] = (
-                    host_coupling * host_arr
-                    + self.trojan_probe_coupling(dut) * trojan_arr,
-                    host_coupling,
-                )
-            coupled[row], host_couplings[row] = coupled_by_design[design_key]
-
-        gains = np.stack(
-            [self.die_cycle_gains(dut, num_cycles) for dut in duts]
-        )
-        base_gains = np.array([dut.em_gain() for dut in duts])
-        offsets = np.array([dut.em_offset() for dut in duts])
-
-        amplitudes = gains * config.activity_to_amplitude * coupled
-        signal = np.zeros((num_duts, total_samples))
-        cycle_offsets: List[int] = []
-        for cycle in range(num_cycles):
-            offset = (config.pre_trigger_cycles + cycle) * samples_per_cycle
-            cycle_offsets.append(offset)
-            end = min(total_samples, offset + kernel.size)
-            signal[:, offset:end] += (amplitudes[:, cycle, None]
-                                      * kernel[None, : end - offset])
-
-        idle_cycles = list(range(config.pre_trigger_cycles)) + [
-            config.pre_trigger_cycles + num_cycles + cycle
-            for cycle in range(config.post_trigger_cycles)
-        ]
-        idle_amplitudes = (base_gains * config.activity_to_amplitude
-                           * host_couplings * config.baseline_activity)
-        for cycle_index in idle_cycles:
-            offset = cycle_index * samples_per_cycle
-            end = min(total_samples, offset + kernel.size)
-            signal[:, offset:end] += (idle_amplitudes[:, None]
-                                      * kernel[None, : end - offset])
-
-        signal = config.amplifier.amplify(signal) + offsets[:, None]
-        return signal, cycle_offsets
-
-    def batch_noiseless_traces(self, duts: Sequence[DeviceUnderTest],
-                               plaintext: bytes, key: bytes,
-                               encryption_index: int = 0) -> List[EMTrace]:
-        """:meth:`batch_noiseless_matrix` wrapped into :class:`EMTrace` rows."""
-        if not duts:
-            return []
-        signal, cycle_offsets = self.batch_noiseless_matrix(
-            duts, plaintext, key, encryption_index
-        )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
-        return [
-            EMTrace(
-                samples=signal[row].copy(),
-                label=dut.label,
-                plaintext=bytes(plaintext),
-                sample_period_ns=sample_period_ns,
-                cycle_sample_offsets=list(cycle_offsets),
-            )
-            for row, dut in enumerate(duts)
-        ]
 
     def _normalised_rngs(self, duts: Sequence[DeviceUnderTest],
                          rngs: Union[np.random.Generator,
@@ -509,36 +260,15 @@ class EMSimulator:
                              encryption_index: int = 0,
                              new_setup_installation: bool = False
                              ) -> "Tuple[np.ndarray, List[int]]":
-        """Acquire a whole population as one ``(duts, samples)`` matrix.
+        """One stimulus over a population as a ``(duts, samples)`` matrix.
 
-        The tensor-resident core of :meth:`acquire_batch`: per-die setup
-        perturbation and averaged noise are drawn row by row in the
-        serial generator order, then the whole matrix is quantised in
-        one oscilloscope pass.  Row ``d`` is bit-identical to the serial
-        :meth:`acquire` of ``duts[d]``; no :class:`EMTrace` objects are
-        built.  Returns ``(signal, cycle_sample_offsets)``.
+        The one-plaintext view of :meth:`acquire_many_batch_tensor`.
         """
-        rng_list = self._normalised_rngs(duts, rngs)
-        config = self.config
-        signal, cycle_offsets = self.batch_noiseless_matrix(
-            duts, plaintext, key, encryption_index
+        signal, cycle_offsets = self.acquire_many_batch_tensor(
+            duts, [plaintext], key, rngs, new_setup_installation,
+            encryption_indices=[encryption_index],
         )
-        sigma = config.oscilloscope.effective_noise_sigma(
-            config.noise.sigma_single_shot
-        )
-        for row, rng in enumerate(rng_list):
-            trace = signal[row]
-            if new_setup_installation:
-                gain, offset = config.noise.sample_setup_perturbation(rng)
-                trace = trace * gain + offset
-            if sigma > 0:
-                trace = trace + rng.normal(0.0, sigma, size=trace.shape)
-            signal[row] = trace
-        if config.quantise:
-            signal = config.oscilloscope.quantise(
-                signal, lsb=config.oscilloscope.effective_lsb()
-            )
-        return signal, cycle_offsets
+        return signal[0], cycle_offsets
 
     def acquire_batch(self, duts: Sequence[DeviceUnderTest], plaintext: bytes,
                       key: bytes,
@@ -546,62 +276,36 @@ class EMSimulator:
                                   Sequence[np.random.Generator]],
                       encryption_index: int = 0,
                       new_setup_installation: bool = False) -> List[EMTrace]:
-        """Acquire one averaged trace per DUT in a single vectorised pass.
-
-        Thin :class:`EMTrace` wrapper over :meth:`acquire_batch_matrix`
-        (the persistence/report boundary).
-
-        Parameters
-        ----------
-        rngs:
-            Either one generator per DUT (each die keeps its own noise
-            stream, as the population campaigns do) or a single shared
-            generator consumed in DUT order.  Both conventions reproduce
-            the corresponding serial :meth:`acquire` loop exactly.
-        new_setup_installation:
-            Applied to every acquisition of the batch (the population
-            campaigns re-install the setup for every die).
-        """
+        """:meth:`acquire_batch_matrix` as one :class:`EMTrace` per DUT."""
         if not duts:
             return []
         signal, cycle_offsets = self.acquire_batch_matrix(
             duts, plaintext, key, rngs, encryption_index,
             new_setup_installation,
         )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
-        return [
-            EMTrace(
-                samples=signal[row].copy(),
-                label=dut.label,
-                plaintext=bytes(plaintext),
-                sample_period_ns=sample_period_ns,
-                cycle_sample_offsets=list(cycle_offsets),
-            )
-            for row, dut in enumerate(duts)
-        ]
+        return wrap_traces(signal, [dut.label for dut in duts],
+                           [plaintext] * len(duts), self._sample_period_ns(),
+                           cycle_offsets)
 
     # -- whole-stimulus batched acquisition ---------------------------------------
 
-    def _host_activity_matrix(self, key: bytes, plaintexts: Sequence[bytes],
-                              round_states: Optional[np.ndarray] = None
+    def _host_activity_matrix(self, key: bytes, plaintexts: List[bytes],
+                              round_states: Callable[[], np.ndarray]
                               ) -> np.ndarray:
         """Per-cycle host activities of a stimulus batch, shape ``(P, C)``.
 
-        One batched-cipher pass covers every plaintext; rows already in
-        the per-(key, plaintext) cache are reused and freshly computed
-        rows are inserted (bounded), so single-stimulus and batch paths
-        share one memo.
+        Cycle 0 is the plaintext load, then one cycle per round: a
+        baseline plus the register toggles of that cycle, each dragging
+        its combinational logic along.  Rows are memoised per
+        (key, plaintext), bounded; ``round_states`` is only called when a
+        row is missing.
         """
-        key = bytes(key)
-        plaintexts = [bytes(plaintext) for plaintext in plaintexts]
         cached = [self._host_activity_cache.get((key, plaintext))
                   for plaintext in plaintexts]
-        if plaintexts and all(row is not None for row in cached):
+        if all(row is not None for row in cached):
             return np.asarray(cached, dtype=float)
         config = self.config
-        if round_states is None:
-            round_states = BatchedAES(key).round_states(plaintexts)
-        toggles = switching_activity_counts(round_states)
+        toggles = switching_activity_counts(round_states())
         matrix = (config.baseline_activity
                   + config.register_toggle_weight * toggles
                   * (1.0 + config.combinational_activity_factor))
@@ -614,21 +318,20 @@ class EMSimulator:
         return matrix
 
     def _trojan_activity_matrix(self, dut: DeviceUnderTest, key: bytes,
-                                plaintexts: Sequence[bytes],
-                                round_states: np.ndarray,
-                                encryption_indices: Sequence[int]
+                                plaintexts: List[bytes],
+                                round_states: Callable[[], np.ndarray],
+                                encryption_indices: List[int]
                                 ) -> np.ndarray:
-        """Per-cycle trojan activities of a stimulus batch, shape ``(P, C)``.
+        """Per-cycle dormant trojan activities, shape ``(P, C)``.
 
-        All encryptions' register states go through one compiled-kernel
+        Two components: the data-dependent toggles of the trigger logic,
+        all encryptions' register states through one compiled-kernel
         evaluation (:meth:`~repro.trojan.base.HardwareTrojan.
-        encryption_activity_counts`); zeros for a clean design.
+        encryption_activity_counts`), and the size-proportional
+        clock/configuration load of every trojan cell, present on every
+        cycle.  Rows are memoised per (design, key, plaintext,
+        encryption index), bounded.
         """
-        num_cycles = round_states.shape[1] - 1
-        if dut.trojan is None:
-            return np.zeros((round_states.shape[0], num_cycles))
-        key = bytes(key)
-        plaintexts = [bytes(plaintext) for plaintext in plaintexts]
         cached_rows: List[List[float]] = []
         for plaintext, index in zip(plaintexts, encryption_indices):
             entry = self._trojan_activity_cache.get(
@@ -637,11 +340,11 @@ class EMSimulator:
             if entry is None or entry[0] is not dut.design:
                 break
             cached_rows.append(entry[1])
-        if plaintexts and len(cached_rows) == len(plaintexts):
+        if len(cached_rows) == len(plaintexts):
             return np.asarray(cached_rows, dtype=float)
         config = self.config
         output_toggles, pin_toggles = dut.trojan.encryption_activity_counts(
-            round_states, encryption_indices
+            round_states(), encryption_indices
         )
         clock_load = (config.trojan_clock_load_per_cell
                       * dut.trojan.cell_count())
@@ -657,24 +360,28 @@ class EMSimulator:
             )
         return matrix
 
-    def batch_noiseless_traces_many(self, duts: Sequence[DeviceUnderTest],
-                                    plaintexts: Sequence[bytes], key: bytes,
-                                    encryption_indices: Optional[Sequence[int]]
-                                    = None
-                                    ) -> "Tuple[np.ndarray, List[int]]":
-        """Deterministic emissions of a whole (plaintext x DUT) grid.
+    def noiseless_tensor(self, duts: Sequence[DeviceUnderTest],
+                         plaintexts: Sequence[bytes], key: bytes,
+                         encryption_indices: Optional[Sequence[int]] = None
+                         ) -> "Tuple[np.ndarray, List[int]]":
+        """Deterministic emissions of a (plaintext x DUT) grid.
 
-        The batched cipher prices every stimulus in one pass, each
-        unique design's trojan activity comes from one compiled-kernel
-        evaluation over all encryptions' register states, and the pulse
-        synthesis fills a ``(plaintexts, duts, samples)`` tensor in a
-        handful of broadcast operations.  Every ``[p, d]`` plane is
-        arithmetically identical to ``noiseless_trace(duts[d],
-        plaintexts[p], key, encryption_index=p)``.
+        The synthesis kernel every acquisition runs on.  The batched
+        cipher prices every stimulus in one pass, each unique design's
+        trojan activity comes from one compiled-kernel evaluation over
+        all encryptions' register states, and every cycle adds a
+        damped-oscillation pulse scaled by its activity, the probe
+        couplings and the die's per-cycle EM gain; idle padding cycles
+        show the clock-tree baseline.  Only the per-die gains and offsets
+        differ between the DUTs of one design.  ``encryption_indices``
+        (default ``0..P-1``) number the encryptions for the sequential
+        trojans' counters.
 
-        Returns ``(signal, cycle_sample_offsets)``.
+        Returns ``(signal, cycle_sample_offsets)`` with ``signal`` of
+        shape ``(plaintexts, duts, samples)``.
         """
         config = self.config
+        key = bytes(key)
         plaintexts = [bytes(plaintext) for plaintext in plaintexts]
         num_plaintexts = len(plaintexts)
         num_duts = len(duts)
@@ -690,7 +397,9 @@ class EMSimulator:
         if not num_duts or not num_plaintexts:
             raise ValueError("at least one DUT and one plaintext are required")
 
-        round_states = BatchedAES(key).round_states(plaintexts)
+        # The cipher pass runs only if an activity memo misses.
+        round_states = functools.cache(
+            lambda: BatchedAES(key).round_states(plaintexts))
         host_matrix = self._host_activity_matrix(key, plaintexts, round_states)
         num_cycles = host_matrix.shape[1]
         num_rounds = num_cycles - 1
@@ -705,8 +414,11 @@ class EMSimulator:
         for column, dut in enumerate(duts):
             design_key = id(dut.design)
             if design_key not in coupled_by_design:
-                trojan_matrix = self._trojan_activity_matrix(
-                    dut, key, plaintexts, round_states, encryption_indices
+                trojan_matrix = (
+                    np.zeros_like(host_matrix) if dut.trojan is None
+                    else self._trojan_activity_matrix(
+                        dut, key, plaintexts, round_states,
+                        encryption_indices)
                 )
                 host_coupling = self.host_probe_coupling(dut)
                 coupled_by_design[design_key] = (
@@ -753,23 +465,39 @@ class EMSimulator:
                                   plaintexts: Sequence[bytes], key: bytes,
                                   rngs: Union[np.random.Generator,
                                               Sequence[np.random.Generator]],
-                                  new_setup_installation: bool = False
+                                  new_setup_installation: bool = False,
+                                  encryption_indices: Optional[Sequence[int]]
+                                  = None
                                   ) -> "Tuple[np.ndarray, List[int]]":
-        """Acquire the (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
+        """Acquire a (plaintext x DUT) grid as one ``(P, D, S)`` tensor.
 
-        The tensor-resident core of :meth:`acquire_many_batch`: noise is
-        drawn DUT-major / plaintext-minor in the serial generator order,
-        then one oscilloscope pass quantises the whole tensor.  Plane
-        ``[p, d]`` is bit-identical to the serial
-        ``acquire(duts[d], plaintexts[p], ...)``; no :class:`EMTrace`
-        objects are built.  Returns ``(signal, cycle_sample_offsets)``.
+        The acquisition kernel every other entry point is a view of: the
+        :meth:`noiseless_tensor` emissions, then per trace an optional
+        setup perturbation and the residual averaged noise, drawn
+        DUT-major / plaintext-minor, then one oscilloscope pass quantises
+        the whole tensor.  No :class:`EMTrace` objects are built.
+
+        Parameters
+        ----------
+        rngs:
+            Either one generator per DUT (each die keeps its own noise
+            stream, consumed across the plaintexts in order) or a single
+            shared generator consumed DUT-major / plaintext-minor.
+        new_setup_installation:
+            When True, every trace draws a fresh setup (probe
+            repositioning, board reinstallation) gain/offset perturbation
+            — the effect Fig. 5 shows to be negligible after 1 000-fold
+            averaging; the population campaigns re-install the setup for
+            every trace.
+
+        Returns ``(signal, cycle_sample_offsets)``.
         """
         rng_list = self._normalised_rngs(duts, rngs)
         if not plaintexts:
             raise ValueError("at least one plaintext is required")
         config = self.config
-        signal, cycle_offsets = self.batch_noiseless_traces_many(
-            duts, plaintexts, key
+        signal, cycle_offsets = self.noiseless_tensor(
+            duts, plaintexts, key, encryption_indices
         )
         sigma = config.oscilloscope.effective_noise_sigma(
             config.noise.sigma_single_shot
@@ -796,25 +524,9 @@ class EMSimulator:
                                        Sequence[np.random.Generator]],
                            new_setup_installation: bool = False
                            ) -> List[List[EMTrace]]:
-        """Acquire the whole (plaintext x DUT) grid in one vectorised pass.
+        """:meth:`acquire_many_batch_tensor` as :class:`EMTrace` lists.
 
-        Thin :class:`EMTrace` wrapper over
-        :meth:`acquire_many_batch_tensor` (the persistence/report
-        boundary).  Returns one list per DUT (``result[d][p]``),
-        bit-identical to calling the serial :meth:`acquire_many` per
-        DUT.
-
-        Parameters
-        ----------
-        rngs:
-            Either one generator per DUT (each die keeps its own noise
-            stream, consumed across the plaintexts in order) or a single
-            shared generator consumed DUT-major / plaintext-minor — both
-            conventions reproduce ``[acquire_many(dut, plaintexts, key,
-            rng) for dut in duts]`` exactly.
-        new_setup_installation:
-            Applied to every acquisition of the grid (the population
-            campaigns re-install the setup for every trace).
+        Returns one list per DUT (``result[d][p]``).
         """
         self._normalised_rngs(duts, rngs)
         if not duts:
@@ -824,17 +536,31 @@ class EMSimulator:
         signal, cycle_offsets = self.acquire_many_batch_tensor(
             duts, plaintexts, key, rngs, new_setup_installation
         )
-        sample_period_ns = 1.0 / self.config.oscilloscope.sample_rate_gsps
         return [
-            [
-                EMTrace(
-                    samples=signal[row, column].copy(),
-                    label=dut.label,
-                    plaintext=bytes(plaintexts[row]),
-                    sample_period_ns=sample_period_ns,
-                    cycle_sample_offsets=list(cycle_offsets),
-                )
-                for row in range(len(plaintexts))
-            ]
+            wrap_traces(signal[:, column], [dut.label] * len(plaintexts),
+                        plaintexts, self._sample_period_ns(), cycle_offsets)
             for column, dut in enumerate(duts)
         ]
+
+    def _sample_period_ns(self) -> float:
+        return 1.0 / self.config.oscilloscope.sample_rate_gsps
+
+
+def wrap_traces(matrix: np.ndarray, labels: Sequence[str],
+                plaintexts: Sequence[bytes], sample_period_ns: float,
+                cycle_sample_offsets: Sequence[int]) -> List[EMTrace]:
+    """Wrap the rows of a ``(traces, samples)`` matrix into :class:`EMTrace`.
+
+    Row ``i`` gets ``labels[i]`` and ``plaintexts[i]``; this is the
+    report/persistence boundary, where tensors become trace objects.
+    """
+    return [
+        EMTrace(
+            samples=matrix[row].copy(),
+            label=labels[row],
+            plaintext=bytes(plaintexts[row]),
+            sample_period_ns=sample_period_ns,
+            cycle_sample_offsets=list(cycle_sample_offsets),
+        )
+        for row in range(matrix.shape[0])
+    ]

@@ -28,8 +28,8 @@ uint8 path stays the pinned reference); it is reached through the
 :mod:`repro.backend` seam (``kernel_backend="bitslice"`` /
 ``--backend bitslice``) or directly via
 :meth:`CompiledNetlist.bitsliced`.  All array operations route through
-the backend's ``xp`` namespace so an accelerator namespace (CuPy) drops
-in without touching this file's callers.
+the backend's ``xp`` namespace, so another array namespace drops in
+without touching this file's callers.
 """
 
 from __future__ import annotations

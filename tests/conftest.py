@@ -7,8 +7,17 @@ are deterministic, and most tests only read them.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The reference implementations live in the ``tests.oracles`` package;
+# make it importable however pytest was started.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.experiments.config import FIXED_KEY, FIXED_PLAINTEXT, ExperimentConfig

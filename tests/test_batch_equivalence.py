@@ -1,10 +1,12 @@
-"""Equivalence of the batched acquisition paths with the serial loops.
+"""Equivalence of the production kernels with the reference oracles.
 
-``EMSimulator.acquire_batch``/``acquire_many_batch`` and
-``PathDelayMeter.measure_batch`` are pure performance refactors: for
-every trojan in the catalog (and the golden design) they must reproduce
-the per-DUT serial results within float tolerance — in fact
-bit-for-bit, which is what most of these assertions check.
+Every EM acquisition entry point is a view of one synthesis kernel
+(``EMSimulator.acquire_many_batch_tensor``) and every delay measurement
+runs on the compiled timing kernel (``PathDelayMeter.measure_batch``).
+For every trojan in the catalog (and the golden design) they must
+reproduce the per-DUT serial and interpreted references of
+``tests/oracles`` within float tolerance — in fact bit-for-bit, which is
+what most of these assertions check.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pa
 from repro.stimulus import random_plaintexts
 from repro.trojan.base import HardwareTrojan
 from repro.trojan.library import available_trojans, build_trojan
+from tests.oracles import delay as delay_oracle
+from tests.oracles import em as em_oracle
+from tests.oracles.scoring import scores_serial
 
 NUM_DIES = 3
 PLAINTEXT = bytes(range(16))
@@ -47,14 +52,17 @@ def _duts(platform, trojan_name):
 def test_noiseless_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
-    serial = [simulator.noiseless_trace(dut, PLAINTEXT, KEY) for dut in duts]
-    batch = simulator.batch_noiseless_traces(duts, PLAINTEXT, KEY)
-    for serial_trace, batch_trace in zip(serial, batch):
-        assert serial_trace.label == batch_trace.label
-        assert serial_trace.cycle_sample_offsets == \
-            batch_trace.cycle_sample_offsets
-        np.testing.assert_allclose(batch_trace.samples, serial_trace.samples,
-                                   rtol=1e-12, atol=1e-9)
+    for index in (0, 3):
+        serial = [em_oracle.noiseless_trace(simulator, dut, PLAINTEXT, KEY,
+                                            encryption_index=index)
+                  for dut in duts]
+        simulator.clear_caches()
+        signal, offsets = simulator.noiseless_tensor(
+            duts, [PLAINTEXT], KEY, encryption_indices=[index])
+        assert signal.shape[:2] == (1, len(duts))
+        for column, serial_trace in enumerate(serial):
+            assert serial_trace.cycle_sample_offsets == offsets
+            assert np.array_equal(signal[0, column], serial_trace.samples)
 
 
 @pytest.mark.parametrize("trojan_name", [None] + available_trojans())
@@ -62,7 +70,7 @@ def test_acquire_batch_matches_per_die_loop(batch_platform, trojan_name):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [
-        simulator.acquire(dut, PLAINTEXT, KEY,
+        em_oracle.acquire(simulator, dut, PLAINTEXT, KEY,
                           np.random.default_rng(100 + die),
                           new_setup_installation=True)
         for die, dut in enumerate(duts)
@@ -81,7 +89,7 @@ def test_acquire_batch_with_shared_generator_matches_serial(batch_platform):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT_comb")
     rng_serial = np.random.default_rng(7)
-    serial = [simulator.acquire(dut, PLAINTEXT, KEY, rng_serial)
+    serial = [em_oracle.acquire(simulator, dut, PLAINTEXT, KEY, rng_serial)
               for dut in duts]
     batch = simulator.acquire_batch(duts, PLAINTEXT, KEY,
                                     np.random.default_rng(7))
@@ -100,10 +108,10 @@ def test_acquire_batch_rejects_mismatched_generators(batch_platform):
 def test_population_acquisition_matches_serial_reference(batch_platform):
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_serial(trojans)
+        em_oracle.acquire_population_traces_serial(batch_platform, trojans)
     )
     golden_batch, infected_batch = (
-        batch_platform.acquire_population_traces(trojans)
+        batch_platform.acquire_population_tensors(trojans).to_traces()
     )
     for serial_trace, batch_trace in zip(golden_serial, golden_batch):
         assert np.array_equal(serial_trace.samples, batch_trace.samples)
@@ -120,7 +128,7 @@ def test_acquire_many_batch_matches_serial_acquire_many(batch_platform,
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, trojan_name)
     serial = [
-        simulator.acquire_many(dut, STIMULI, KEY,
+        em_oracle.acquire_many(simulator, dut, STIMULI, KEY,
                                np.random.default_rng(300 + die),
                                new_setup_installation=True)
         for die, dut in enumerate(duts)
@@ -145,7 +153,7 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT2")
     rng_serial = np.random.default_rng(17)
-    serial = [simulator.acquire_many(dut, STIMULI, KEY, rng_serial)
+    serial = [em_oracle.acquire_many(simulator, dut, STIMULI, KEY, rng_serial)
               for dut in duts]
     simulator.clear_caches()
     batch = simulator.acquire_many_batch(duts, STIMULI, KEY,
@@ -156,24 +164,22 @@ def test_acquire_many_batch_with_shared_generator_matches(batch_platform):
 
 
 def test_population_stimuli_acquisition_matches_serial(batch_platform):
+    """The stimulus-averaged population equals the per-trace serial loop."""
     trojans = ("HT1", "HT_seq")
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_stimuli_serial(
-            trojans, STIMULI)
+        em_oracle.acquire_population_traces_stimuli_serial(
+            batch_platform, trojans, STIMULI)
     )
     batch_platform.em_simulator.clear_caches()
-    golden_batch, infected_batch = (
-        batch_platform.acquire_population_traces_stimuli(trojans, STIMULI)
-    )
-    for serial_list, batch_list in zip(golden_serial, golden_batch):
-        for serial_trace, batch_trace in zip(serial_list, batch_list):
-            assert np.array_equal(serial_trace.samples, batch_trace.samples)
+    tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
+    golden_average = em_oracle.average_stimulus_traces(golden_serial)
+    for row, trace in enumerate(golden_average):
+        assert np.array_equal(tensors.golden[row], trace.samples)
     for name in trojans:
-        for serial_list, batch_list in zip(infected_serial[name],
-                                           infected_batch[name]):
-            for serial_trace, batch_trace in zip(serial_list, batch_list):
-                assert np.array_equal(serial_trace.samples,
-                                      batch_trace.samples)
+        infected_average = em_oracle.average_stimulus_traces(
+            infected_serial[name])
+        for row, trace in enumerate(infected_average):
+            assert np.array_equal(tensors.infected[name][row], trace.samples)
 
 
 @pytest.mark.parametrize("trojan_name", available_trojans())
@@ -222,7 +228,7 @@ def test_delay_measure_batch_matches_per_dut_loop(batch_platform):
             batch_platform.infected_dut("HT_seq", 0)]
     glitch = meter.calibrate_glitches(duts[0], pairs)
     seeds = [41, 42, 43]
-    serial = [meter.measure(dut, pairs, glitch, seed=seed)
+    serial = [delay_oracle.measure(meter, dut, pairs, glitch, seed=seed)
               for dut, seed in zip(duts, seeds)]
     batch = meter.measure_batch(duts, pairs, glitch, seeds=seeds)
     for serial_measurement, batch_measurement in zip(serial, batch):
@@ -238,7 +244,8 @@ def test_pair_transitions_batch_matches_serial(batch_platform):
     dut = batch_platform.golden_dut(0)
     for pairs in (generate_pk_pairs(4, seed=21),
                   generate_pk_pairs(3, seed=22, fixed_key=KEY)):
-        serial = [meter.pair_transitions(dut, pair) for pair in pairs]
+        serial = [delay_oracle.pair_transitions(meter, dut, pair)
+                  for pair in pairs]
         assert meter.pair_transitions_batch(dut, pairs) == serial
     assert meter.pair_transitions_batch(dut, []) == []
 
@@ -247,7 +254,8 @@ def test_delay_measure_batch_self_calibration_matches(batch_platform):
     meter = batch_platform.delay_meter
     pairs = generate_pk_pairs(2, seed=13)
     duts = [batch_platform.golden_dut(1), batch_platform.infected_dut("HT3", 1)]
-    serial = [meter.measure(dut, pairs, None, seed=5) for dut in duts]
+    serial = [delay_oracle.measure(meter, dut, pairs, None, seed=5)
+              for dut in duts]
     batch = meter.measure_batch(duts, pairs, None, seeds=[5, 5])
     for serial_measurement, batch_measurement in zip(serial, batch):
         assert np.array_equal(serial_measurement.steps_matrix(),
@@ -307,7 +315,7 @@ def test_population_tensors_match_trace_acquisition(batch_platform):
     trojans = ("HT1", "HT_seq")
     tensors = batch_platform.acquire_population_tensors(trojans)
     golden_traces, infected_traces = (
-        batch_platform.acquire_population_traces(trojans)
+        em_oracle.acquire_population_traces_serial(batch_platform, trojans)
     )
     for row, trace in enumerate(golden_traces):
         assert np.array_equal(tensors.golden[row], trace.samples)
@@ -329,10 +337,7 @@ def test_population_tensors_match_trace_acquisition(batch_platform):
 
 
 def test_average_stimulus_tensor_matches_trace_average(batch_platform):
-    from repro.core.pipeline import (
-        average_stimulus_tensor,
-        average_stimulus_traces,
-    )
+    from repro.core.pipeline import average_stimulus_tensor
 
     simulator = batch_platform.em_simulator
     duts = _duts(batch_platform, "HT3")
@@ -347,29 +352,32 @@ def test_average_stimulus_tensor_matches_trace_average(batch_platform):
         [np.random.default_rng(800 + die) for die in range(len(duts))],
     )
     averaged_matrix = average_stimulus_tensor(tensor)
-    averaged_traces = average_stimulus_traces(grid)
+    averaged_traces = em_oracle.average_stimulus_traces(grid)
     for row, trace in enumerate(averaged_traces):
         assert np.array_equal(averaged_matrix[row], trace.samples)
 
 
 def test_stimulus_tensors_match_averaged_traces(batch_platform):
-    """acquire_population_tensors_stimuli equals the serial average path."""
-    from repro.core.pipeline import average_stimulus_traces
-
+    """The stimulus population equals averaged acquire_many_batch grids."""
     trojans = ("HT1",)
     batch_platform.em_simulator.clear_caches()
-    tensors = batch_platform.acquire_population_tensors_stimuli(
-        trojans, STIMULI)
+    tensors = batch_platform.acquire_population_tensors(trojans, STIMULI)
     batch_platform.em_simulator.clear_caches()
-    golden_grid, infected_grid = (
-        batch_platform.acquire_population_traces_stimuli(trojans, STIMULI)
-    )
-    for row, trace in enumerate(average_stimulus_traces(golden_grid)):
+    simulator = batch_platform.em_simulator
+    rngs = batch_platform._die_rngs()
+    golden_grid = simulator.acquire_many_batch(
+        _duts(batch_platform, None), STIMULI, KEY, rngs,
+        new_setup_installation=True)
+    infected_grid = simulator.acquire_many_batch(
+        _duts(batch_platform, "HT1"), STIMULI, KEY, rngs,
+        new_setup_installation=True)
+    for row, trace in enumerate(
+            em_oracle.average_stimulus_traces(golden_grid)):
         assert np.array_equal(tensors.golden[row], trace.samples)
-    for name in trojans:
-        for row, trace in enumerate(
-                average_stimulus_traces(infected_grid[name])):
-            assert np.array_equal(tensors.infected[name][row], trace.samples)
+        assert tensors.golden_labels[row] == trace.label
+    for row, trace in enumerate(
+            em_oracle.average_stimulus_traces(infected_grid)):
+        assert np.array_equal(tensors.infected["HT1"][row], trace.samples)
 
 
 def test_delay_difference_batch_matches_serial(batch_platform):
@@ -420,13 +428,13 @@ def test_campaign_em_rows_match_serial_scoring(batch_platform):
         metric = build_metric(cell.metric)
         reference = np.mean([trace.samples for trace in golden_traces],
                             axis=0)
-        genuine_scores = metric.scores_serial(golden_traces, reference)
+        genuine_scores = scores_serial(metric, golden_traces, reference)
         genuine_fit = fit_gaussian(genuine_scores)
         assert cell_result.golden_score_mean == float(genuine_fit.mean)
         assert cell_result.golden_score_std == float(genuine_fit.std)
         for row in cell_result.rows:
-            infected_scores = metric.scores_serial(
-                infected_traces[row.trojan], reference)
+            infected_scores = scores_serial(
+                metric, infected_traces[row.trojan], reference)
             infected_fit = fit_gaussian(infected_scores)
             mu = infected_fit.mean - genuine_fit.mean
             sigma = pooled_std(genuine_scores, infected_scores)
@@ -476,15 +484,15 @@ def test_population_study_matches_serial_replica(batch_platform):
     trojans = ("HT1", "HT_seq")
     study = batch_platform.run_population_em_study(trojan_names=trojans)
     golden_serial, infected_serial = (
-        batch_platform.acquire_population_traces_serial(trojans)
+        em_oracle.acquire_population_traces_serial(batch_platform, trojans)
     )
     metric = LocalMaximaSumMetric()
     reference = np.mean([trace.samples for trace in golden_serial], axis=0)
     assert np.array_equal(study.reference.mean, reference)
-    genuine_scores = metric.scores_serial(golden_serial, reference)
+    genuine_scores = scores_serial(metric, golden_serial, reference)
     for name in trojans:
-        infected_scores = metric.scores_serial(infected_serial[name],
-                                               reference)
+        infected_scores = scores_serial(metric, infected_serial[name],
+                                        reference)
         mu = fit_gaussian(infected_scores).mean \
             - fit_gaussian(genuine_scores).mean
         sigma = pooled_std(genuine_scores, infected_scores)
@@ -496,3 +504,46 @@ def test_population_study_matches_serial_replica(batch_platform):
     for study_trace, serial_trace in zip(study.golden_traces, golden_serial):
         assert np.array_equal(study_trace.samples, serial_trace.samples)
         assert study_trace.label == serial_trace.label
+
+
+def test_delay_study_matches_per_device_interpreted_walks(batch_platform):
+    """Fig. 3's one-call batch equals a per-device interpreted campaign."""
+    study = batch_platform.run_delay_study(
+        trojan_names=("HT_comb", "HT_seq"), num_pairs=2, die_index=1,
+        pair_seed=5)
+    meter = batch_platform.delay_meter
+    pairs = study.pairs
+    golden_dut = batch_platform.golden_dut(1, label="GM")
+    glitch = delay_oracle.calibrate_glitches(meter, golden_dut, pairs)
+    seed = batch_platform.config.seed
+    expected = {
+        "Clean1": (batch_platform.golden_dut(1, label="Clean1"), seed + 101),
+        "Clean2": (batch_platform.golden_dut(1, label="Clean2"), seed + 102),
+        "HT_comb": (batch_platform.infected_dut("HT_comb", 1,
+                                                label="HT_comb"), seed + 200),
+        "HT_seq": (batch_platform.infected_dut("HT_seq", 1,
+                                               label="HT_seq"), seed + 201),
+    }
+    assert list(study.measurements) == list(expected)
+    for label, (dut, dut_seed) in expected.items():
+        reference = delay_oracle.measure(meter, dut, pairs, glitch,
+                                         seed=dut_seed)
+        measurement = study.measurements[label]
+        assert measurement.label == label
+        assert np.array_equal(measurement.steps_matrix(),
+                              reference.steps_matrix())
+        for pair, reference_pair in zip(measurement.pairs, reference.pairs):
+            assert pair.glitch.periods() == reference_pair.glitch.periods()
+    fingerprint = delay_oracle.measure(meter, golden_dut, pairs, glitch,
+                                       seed=seed)
+    assert np.array_equal(study.fingerprint.mean_steps,
+                          fingerprint.mean_steps())
+
+
+def test_studies_reject_duplicate_trojan_names(batch_platform):
+    with pytest.raises(ValueError, match="duplicate trojan names: HT_comb"):
+        batch_platform.run_delay_study(trojan_names=("HT_comb", "HT_comb"),
+                                       num_pairs=1)
+    with pytest.raises(ValueError, match="duplicate trojan names: HT1"):
+        batch_platform.run_same_die_em_study(
+            trojan_names=("HT1", "HT2", "HT1"))

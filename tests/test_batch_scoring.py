@@ -35,6 +35,7 @@ from repro.core.metrics import (
     MaxDifferenceMetric,
     false_negative_rate,
 )
+from tests.oracles.scoring import scores_serial
 
 # -- hypothesis strategies ----------------------------------------------------
 
@@ -212,7 +213,8 @@ METRICS = [LocalMaximaSumMetric(), LocalMaximaSumMetric(min_peak_distance=1),
 
 @pytest.fixture(scope="module")
 def small_population(platform):
-    golden, infected = platform.acquire_population_traces(("HT1", "HT3"))
+    golden, infected = platform.acquire_population_tensors(
+        ("HT1", "HT3")).to_traces()
     return golden, infected
 
 
@@ -223,7 +225,7 @@ def test_metric_scores_equal_serial_loop(small_population, metric):
     golden, infected = small_population
     population = list(golden) + list(infected["HT1"]) + list(infected["HT3"])
     reference = stack_traces(golden).mean(axis=0)
-    serial = metric.scores_serial(population, reference)
+    serial = scores_serial(metric, population, reference)
     batched = metric.scores(population, reference)
     matrix_scores = metric.scores_matrix(stack_traces(population), reference)
     assert np.array_equal(serial, batched)

@@ -11,6 +11,7 @@ from repro.measurement.delay_meter import (
 )
 from repro.measurement.dut import DeviceUnderTest
 from repro.measurement.noise import DelayNoiseModel
+from tests.oracles import delay as delay_oracle
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +59,8 @@ def test_config_validation():
 
 
 def test_arrival_times_shape_and_data_dependence(meter, clean_dut, pk_pairs):
-    arrivals_a = meter.arrival_times_ps(clean_dut, pk_pairs[0])
-    arrivals_b = meter.arrival_times_ps(clean_dut, pk_pairs[1])
+    arrivals_a = delay_oracle.arrival_times_ps(meter, clean_dut, pk_pairs[0])
+    arrivals_b = delay_oracle.arrival_times_ps(meter, clean_dut, pk_pairs[1])
     assert arrivals_a.shape == (128,)
     finite = arrivals_a[~np.isnan(arrivals_a)]
     assert finite.size > 32
@@ -72,7 +73,7 @@ def test_arrival_times_shape_and_data_dependence(meter, clean_dut, pk_pairs):
 
 def test_calibrated_glitch_covers_observed_paths(meter, clean_dut, pk_pairs):
     glitch = meter.calibrate_glitch(clean_dut, pk_pairs)
-    arrivals = meter.arrival_times_ps(clean_dut, pk_pairs[0])
+    arrivals = delay_oracle.arrival_times_ps(meter, clean_dut, pk_pairs[0])
     worst = np.nanmax(arrivals)
     assert glitch.start_period_ps > meter.config.budget.required_period_ps(worst)
     with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ def test_calibrated_glitch_covers_observed_paths(meter, clean_dut, pk_pairs):
 
 def test_measure_pair_output_shape(meter, clean_dut, pk_pairs, rng):
     glitch = meter.calibrate_glitch(clean_dut, pk_pairs)
-    result = meter.measure_pair(clean_dut, pk_pairs[0], glitch, rng)
+    result = delay_oracle.measure_pair(meter, clean_dut, pk_pairs[0], glitch, rng)
     assert result.steps_to_fault.shape == (3, 128)
     never = glitch.num_steps + 1
     assert np.all(result.steps_to_fault <= never)
@@ -93,7 +94,7 @@ def test_measure_pair_output_shape(meter, clean_dut, pk_pairs, rng):
 
 def test_longer_paths_fault_earlier(meter, clean_dut, pk_pairs, rng):
     glitch = meter.calibrate_glitch(clean_dut, pk_pairs)
-    result = meter.measure_pair(clean_dut, pk_pairs[0], glitch, rng)
+    result = delay_oracle.measure_pair(meter, clean_dut, pk_pairs[0], glitch, rng)
     arrivals = result.arrival_ps
     steps = result.mean_steps()
     observable = ~np.isnan(arrivals)
@@ -124,7 +125,7 @@ def test_calibrate_glitches_per_pair(meter, clean_dut, pk_pairs):
     glitches = meter.calibrate_glitches(clean_dut, pk_pairs)
     assert set(glitches) == {pair.index for pair in pk_pairs}
     for pair in pk_pairs:
-        worst = np.nanmax(meter.arrival_times_ps(clean_dut, pair))
+        worst = np.nanmax(delay_oracle.arrival_times_ps(meter, clean_dut, pair))
         required = meter.config.budget.required_period_ps(worst)
         sweep = glitches[pair.index]
         assert sweep.start_period_ps > required
@@ -147,3 +148,38 @@ def test_fault_staircase_monotone_trend(meter, clean_dut, pk_pairs):
     assert counts[0] <= counts[-1]
     assert max(counts) > 0
     assert max(counts) <= 128
+
+
+def test_compiled_arrivals_match_interpreted_walk(meter, clean_dut,
+                                                  infected_dut, pk_pairs):
+    """batch_arrival_times equals one TimingEngine walk per (DUT, pair)."""
+    duts = [clean_dut, infected_dut]
+    grid = meter.batch_arrival_times(duts, pk_pairs)
+    assert grid.shape == (len(duts), len(pk_pairs), 128)
+    for dut_index, dut in enumerate(duts):
+        for pair_index, pair in enumerate(pk_pairs):
+            reference = delay_oracle.arrival_times_ps(meter, dut, pair)
+            assert np.array_equal(grid[dut_index, pair_index], reference,
+                                  equal_nan=True)
+
+
+def test_calibration_matches_interpreted_reference(meter, clean_dut,
+                                                   pk_pairs):
+    assert (meter.calibrate_glitch(clean_dut, pk_pairs).periods()
+            == delay_oracle.calibrate_glitch(meter, clean_dut,
+                                             pk_pairs).periods())
+    compiled = meter.calibrate_glitches(clean_dut, pk_pairs)
+    reference = delay_oracle.calibrate_glitches(meter, clean_dut, pk_pairs)
+    assert set(compiled) == set(reference)
+    for index, sweep in compiled.items():
+        assert sweep.periods() == reference[index].periods()
+
+
+def test_fault_staircase_matches_interpreted_reference(meter, clean_dut,
+                                                       infected_dut,
+                                                       pk_pairs):
+    glitch = meter.calibrate_glitch(clean_dut, [pk_pairs[0]])
+    for dut in (clean_dut, infected_dut):
+        assert (meter.fault_staircase(dut, pk_pairs[0], glitch, seed=4)
+                == delay_oracle.fault_staircase(meter, dut, pk_pairs[0],
+                                                glitch, seed=4))

@@ -28,8 +28,10 @@ def _fresh_platform(num_dies: int = 4, seed: int = 77) -> HTDetectionPlatform:
 
 
 def test_same_seed_byte_identical_population_traces():
-    golden_a, infected_a = _fresh_platform().acquire_population_traces(TROJANS)
-    golden_b, infected_b = _fresh_platform().acquire_population_traces(TROJANS)
+    golden_a, infected_a = _fresh_platform().acquire_population_tensors(
+        TROJANS).to_traces()
+    golden_b, infected_b = _fresh_platform().acquire_population_tensors(
+        TROJANS).to_traces()
     for trace_a, trace_b in zip(golden_a, golden_b):
         assert trace_a.samples.tobytes() == trace_b.samples.tobytes()
     for name in TROJANS:

@@ -5,12 +5,27 @@ import pytest
 
 from repro.measurement.dut import DeviceUnderTest
 from repro.measurement.em_probe import Amplifier, EMProbe, probe_impulse_response
-from repro.measurement.em_simulator import EMAcquisitionConfig, EMSimulator
+from repro.measurement.em_simulator import (
+    EMAcquisitionConfig,
+    EMSimulator,
+    EMTrace,
+    wrap_traces,
+)
 from repro.measurement.noise import EMNoiseModel
 from repro.measurement.oscilloscope import Oscilloscope
+from tests.oracles import em as em_oracle
 
 PLAINTEXT = bytes(range(16))
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+
+
+def noiseless(simulator: EMSimulator, dut: DeviceUnderTest, plaintext: bytes,
+              key: bytes = KEY) -> EMTrace:
+    """One noiseless emission through the production synthesis kernel."""
+    signal, offsets = simulator.noiseless_tensor([dut], [plaintext], key)
+    period_ns = 1.0 / simulator.config.oscilloscope.sample_rate_gsps
+    return wrap_traces(signal[0], [dut.label], [plaintext], period_ns,
+                       offsets)[0]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +94,8 @@ def test_acquisition_config_geometry():
 def test_host_activities_track_register_switching(simulator, golden_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.host_cycle_activities(AES(KEY), PLAINTEXT)
+    activities = em_oracle.host_cycle_activities(simulator, AES(KEY),
+                                                   PLAINTEXT)
     assert len(activities) == 11
     assert all(a >= simulator.config.baseline_activity for a in activities)
 
@@ -87,20 +103,22 @@ def test_host_activities_track_register_switching(simulator, golden_dut):
 def test_trojan_activities_zero_for_clean_design(simulator, golden_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.trojan_cycle_activities(golden_dut, AES(KEY), PLAINTEXT)
+    activities = em_oracle.trojan_cycle_activities(simulator, golden_dut,
+                                                     AES(KEY), PLAINTEXT)
     assert activities == [0.0] * 11
 
 
 def test_trojan_activities_positive_for_infected(simulator, infected_dut):
     from repro.crypto.aes import AES
 
-    activities = simulator.trojan_cycle_activities(infected_dut, AES(KEY), PLAINTEXT)
+    activities = em_oracle.trojan_cycle_activities(simulator, infected_dut,
+                                                     AES(KEY), PLAINTEXT)
     assert len(activities) == 11
     assert all(a > 0 for a in activities)
 
 
 def test_noiseless_trace_structure(simulator, golden_dut):
-    trace = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    trace = noiseless(simulator, golden_dut, PLAINTEXT)
     expected_samples = simulator.config.total_samples(10)
     assert len(trace) == expected_samples
     assert len(trace.cycle_sample_offsets) == 11
@@ -108,20 +126,20 @@ def test_noiseless_trace_structure(simulator, golden_dut):
 
 
 def test_noiseless_trace_deterministic(simulator, golden_dut):
-    a = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    b = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    a = noiseless(simulator, golden_dut, PLAINTEXT)
+    b = noiseless(simulator, golden_dut, PLAINTEXT)
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_noiseless_trace_depends_on_plaintext(simulator, golden_dut):
-    a = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    b = simulator.noiseless_trace(golden_dut, bytes(16), KEY)
+    a = noiseless(simulator, golden_dut, PLAINTEXT)
+    b = noiseless(simulator, golden_dut, bytes(16))
     assert not np.array_equal(a.samples, b.samples)
 
 
 def test_infected_trace_differs_from_golden(simulator, golden_dut, infected_dut):
-    golden = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
-    infected = simulator.noiseless_trace(infected_dut, PLAINTEXT, KEY)
+    golden = noiseless(simulator, golden_dut, PLAINTEXT)
+    infected = noiseless(simulator, infected_dut, PLAINTEXT)
     difference = np.abs(golden.samples - infected.samples)
     assert difference.max() > 50
     # The trojan adds activity; it must not change the trace length.
@@ -135,21 +153,21 @@ def test_trojan_size_increases_em_difference(simulator, golden_design,
 
     die = die_population[0]
     golden_dut = DeviceUnderTest(golden_design, die)
-    golden = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    golden = noiseless(simulator, golden_dut, PLAINTEXT)
     differences = {}
     for name in ("HT1", "HT3"):
         infected = insert_trojan(golden_design, build_trojan(name,
                                                              golden_design.device))
         dut = DeviceUnderTest(infected, die)
-        trace = simulator.noiseless_trace(dut, PLAINTEXT, KEY)
+        trace = noiseless(simulator, dut, PLAINTEXT)
         differences[name] = float(np.abs(trace.samples - golden.samples).max())
     assert differences["HT3"] > differences["HT1"]
 
 
 def test_acquire_adds_bounded_noise(simulator, golden_dut, rng):
-    noiseless = simulator.noiseless_trace(golden_dut, PLAINTEXT, KEY)
+    expected = noiseless(simulator, golden_dut, PLAINTEXT)
     acquired = simulator.acquire(golden_dut, PLAINTEXT, KEY, rng)
-    residual = acquired.samples - noiseless.samples
+    residual = acquired.samples - expected.samples
     sigma = simulator.config.noise.averaged_sigma(
         simulator.config.oscilloscope.num_averages
     )

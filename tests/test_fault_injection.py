@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.state import BLOCK_BITS, bytes_to_bits
 from repro.measurement.clock import TimingBudget
 from repro.measurement.fault_injection import SetupViolationFaultModel
+from tests.oracles.scoring import faulted_bits_population_serial
 
 
 @pytest.fixture()
@@ -166,8 +167,9 @@ def test_population_kernel_matches_serial_reference(seed, num_grid,
                                                     num_stimuli)
     batched = model.faulted_bits_population(
         correct, stale, arrivals, periods, np.random.default_rng(seed))
-    serial = model.faulted_bits_population_serial(
-        correct, stale, arrivals, periods, np.random.default_rng(seed))
+    serial = faulted_bits_population_serial(
+        model, correct, stale, arrivals, periods,
+        np.random.default_rng(seed))
     assert np.array_equal(batched, serial)
 
 

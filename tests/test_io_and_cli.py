@@ -184,3 +184,30 @@ def test_cli_em_command(capsys):
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "Same-die EM detection" in output
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["delay", "--trojan", "BOGUS"], "argument --trojan: invalid choice: 'BOGUS'"),
+    (["em", "--trojan", "BOGUS"], "argument --trojan: invalid choice: 'BOGUS'"),
+    (["campaign", "run", "--trojan", "BOGUS", "--dies", "2"],
+     "argument --trojan: invalid choice: 'BOGUS'"),
+    (["attack", "sweep", "--trojan", "BOGUS"],
+     "argument --trojan: invalid choice: 'BOGUS'"),
+    (["delay", "--trojan", "HT_comb", "--trojan", "HT_comb"],
+     "argument --trojan: repeated HT_comb"),
+    (["headline", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got -1"),
+    (["campaign", "run", "--seed", "-3"],
+     "argument --seed: must be a non-negative integer, got -3"),
+    (["attack", "recover", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+])
+def test_cli_rejects_bad_input_without_traceback(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    last_line = err.strip().splitlines()[-1]
+    assert last_line.startswith("repro-ht")
+    assert f"error: {message}" in last_line
+    assert "Traceback" not in err
