@@ -315,22 +315,25 @@ class HTDetectionPlatform:
         rngs = self._die_rngs()
 
         def acquire(duts: Sequence[DeviceUnderTest]):
-            grid, offsets = self.em_simulator.acquire_many_batch_tensor(
+            return self.em_simulator.acquire_many_batch_tensor(
                 duts, plaintexts, key, rngs, new_setup_installation=True,
             )
-            return average_stimulus_tensor(grid), offsets
 
         golden_duts = [self.golden_dut(die_index) for die_index in die_indices]
-        golden, cycle_offsets = acquire(golden_duts)
+        # The golden grid is averaged last on purpose: released before the
+        # trojans' grids are synthesised, it lets the allocator trim and
+        # re-fault its heap for every design, several times the page
+        # faults of holding it, which slows small campaign cells.
+        golden_grid, cycle_offsets = acquire(golden_duts)
         infected: Dict[str, np.ndarray] = {}
         infected_labels: Dict[str, List[str]] = {}
         for name in trojan_names:
             duts = [self.infected_dut(name, die_index)
                     for die_index in die_indices]
-            infected[name], _ = acquire(duts)
+            infected[name] = average_stimulus_tensor(acquire(duts)[0])
             infected_labels[name] = [dut.label for dut in duts]
         return PopulationTraceTensors(
-            golden=golden,
+            golden=average_stimulus_tensor(golden_grid),
             infected=infected,
             golden_labels=[dut.label for dut in golden_duts],
             infected_labels=infected_labels,
