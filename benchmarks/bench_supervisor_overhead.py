@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.campaigns import CampaignEngine, CampaignSpec
 from repro.campaigns.supervisor import CampaignSupervisor
+from tests.oracles.campaigns import run_cells_bare_pool
 
 OVERHEAD_GATE = 1.10
 ABSOLUTE_SLACK_S = 1.0
@@ -40,11 +41,11 @@ def test_supervised_run_overhead_within_10_percent(benchmark):
         cells = spec.grid()
 
         # Bare pool reference: the unsupervised executor.map path the
-        # supervisor replaced, kept on the engine for exactly this
+        # supervisor replaced, kept in tests/oracles for exactly this
         # comparison.
         bare_engine = CampaignEngine(spec, store=root / "bare")
         start = time.perf_counter()
-        bare_results = bare_engine._run_parallel(cells)
+        bare_results = run_cells_bare_pool(bare_engine, cells)
         bare_seconds = time.perf_counter() - start
 
         supervised_engine = CampaignEngine(spec, store=root / "supervised")

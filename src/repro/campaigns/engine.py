@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -95,6 +94,7 @@ from ..measurement.em_simulator import EMTrace
 from ..store import (
     DEFAULT_GOLDEN_SIGNATURE,
     ArtifactStore,
+    Store,
     cell_result_key,
     delay_differences_key,
     fault_sweep_key,
@@ -449,16 +449,17 @@ def format_campaign_rows(rows: Sequence[Mapping[str, Any]]) -> str:
 class CampaignEngine:
     """Executes a campaign grid with shared caches and batched acquisition.
 
-    ``store`` (an :class:`~repro.store.ArtifactStore` or a directory
-    path) makes every cache *read through* content-addressed on-disk
-    artifacts and records per-cell completion, enabling warm reruns,
-    resume after interruption, and sharded multi-process/host campaigns.
+    ``store`` (any :class:`~repro.store.Store` — local, remote or
+    tiered — or a directory path) makes every cache *read through*
+    content-addressed artifacts and records per-cell completion,
+    enabling warm reruns, resume after interruption, and sharded
+    multi-process/host campaigns.
     """
 
     def __init__(self, spec: CampaignSpec,
                  device: Optional[FPGADevice] = None,
                  golden: Optional[GoldenDesign] = None,
-                 store: Optional[Union[ArtifactStore, PathLike]] = None):
+                 store: Optional[Union[Store, PathLike]] = None):
         self.spec = spec
         self.device = device or virtex5_lx30()
         # The golden design is built lazily: a fully warm store-backed
@@ -468,19 +469,8 @@ class CampaignEngine:
             DEFAULT_GOLDEN_SIGNATURE if golden is None
             else golden_signature(golden)
         )
-        if store is None or isinstance(store, (str, Path)):
-            self.store = (None if store is None
-                          else ArtifactStore(store))
-        elif isinstance(store, Mapping):
-            # A spawn_config dict (local/remote/tiered) — how worker
-            # processes receive tiered stores, which are not picklable
-            # as live objects.
-            from ..store import build_store
-            self.store = build_store(store)
-        else:
-            # Any object with the store surface (ArtifactStore,
-            # TieredStore, RemoteStore, chaos stores) is used as-is.
-            self.store = store
+        self.store: Optional[Store] = (
+            ArtifactStore(store) if isinstance(store, (str, Path)) else store)
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
@@ -1215,7 +1205,7 @@ class CampaignEngine:
         else:
             shard = (int(shard[0]), int(shard[1]))
             cells = self.spec.shard(*shard)
-        if self.store is not None and hasattr(self.store, "acquire_lease"):
+        if self.store is not None:
             # The whole run counts as "live" to concurrent maintenance:
             # the lease covers the compute time between store writes,
             # not just the writes themselves.
@@ -1251,8 +1241,7 @@ class CampaignEngine:
             ordered = [completed[cell.index] for cell in cells]
         finally:
             self._active_indices = None
-            if (self.store is not None
-                    and hasattr(self.store, "release_lease")):
+            if self.store is not None:
                 self.store.release_lease()
         result = CampaignResult(
             spec=self.spec,
@@ -1263,99 +1252,6 @@ class CampaignEngine:
         if self._artifact_dir is not None:
             result.save(self._artifact_dir)
         return result
-
-    def _run_parallel(self, cells: List[GridCell]) -> List[CampaignCellResult]:
-        """Bare process-pool execution — the *unsupervised* reference.
-
-        ``run`` no longer uses this: campaign execution goes through
-        :class:`repro.campaigns.supervisor.CampaignSupervisor`, which
-        adds retries, timeouts and poison-cell quarantine on top of the
-        same chunking.  This method is kept as the zero-overhead
-        baseline the supervisor-overhead benchmark gate compares
-        against (``benchmarks/bench_supervisor_overhead.py``) — one
-        crashed worker here still aborts everything with
-        ``BrokenProcessPool``.
-
-        Cells are chunked by acquisition key so a worker reuses its
-        acquisition cache across the metrics of one (die count, variant)
-        point instead of re-acquiring per cell.  Workers share the
-        engine's store (if any): artifacts written by one worker are
-        hits for the others, and each worker records its cells'
-        completion itself so an interrupted pool still leaves every
-        finished cell resumable.
-        """
-        chunks: Dict[Tuple[int, str], List[int]] = {}
-        for cell in cells:
-            chunks.setdefault(cell.acquisition_key, []).append(cell.index)
-        spec_dict = self.spec.to_dict()
-        artifact = str(self._artifact_dir) if self._artifact_dir else None
-        store_root = store_spawn_config(self.store)
-        active = (sorted(self._active_indices)
-                  if self._active_indices is not None else None)
-        workers = min(self.spec.workers, len(chunks))
-        results: Dict[int, CampaignCellResult] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # The engine's device and golden design travel with the
-            # payload so workers compute on exactly what this engine was
-            # built with (a custom device/golden must not silently fall
-            # back to the defaults); the golden *signature* travels too
-            # so worker-written artifacts carry the same content keys as
-            # this engine's.  An unbuilt golden ships as None — workers
-            # build lazily only if their cells actually need a design.
-            for chunk_results in pool.map(
-                    _run_cells_in_subprocess,
-                    [(spec_dict, indices, artifact, self.device, self._golden,
-                      store_root, self._golden_signature, active)
-                     for indices in chunks.values()]):
-                for cell_result in chunk_results:
-                    results[cell_result.index] = cell_result
-        return [results[cell.index] for cell in cells]
-
-
-def store_spawn_config(store: Any) -> Any:
-    """The picklable store description worker payloads carry.
-
-    Stores that know how to describe themselves (local/remote/tiered
-    ``spawn_config``) ship their config dict; anything else falls back
-    to its root path (rebuilt as a plain local store); ``None`` passes
-    through for store-less engines.
-    """
-    if store is None:
-        return None
-    if hasattr(store, "spawn_config"):
-        return store.spawn_config()
-    return str(store.root)
-
-
-def _run_cells_in_subprocess(payload: Tuple[Dict[str, Any], List[int],
-                                            Optional[str], FPGADevice,
-                                            Optional[GoldenDesign],
-                                            Optional[Any], Any,
-                                            Optional[List[int]]]
-                             ) -> List[CampaignCellResult]:
-    """Worker entry point: rebuild the engine and run a chunk of cells."""
-    (spec_dict, indices, artifact_dir, device, golden, store_root,
-     golden_sig, active) = payload
-    engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_root)
-    engine._golden_signature = golden_sig
-    if artifact_dir is not None:
-        engine._artifact_dir = Path(artifact_dir)
-    if active is not None:
-        engine._active_indices = frozenset(active)
-    if engine.store is not None:
-        engine.store.acquire_lease(owner=f"chunk:{engine.spec.name}")
-    grid = engine.spec.grid()
-    chunk_results: List[CampaignCellResult] = []
-    try:
-        for index in indices:
-            cell_result = engine.run_cell(grid[index])
-            engine.record_cell_result(grid[index], cell_result)
-            chunk_results.append(cell_result)
-    finally:
-        if engine.store is not None:
-            engine.store.release_lease()
-    return chunk_results
 
 
 def merge_campaign_results(results: Sequence[CampaignResult]
@@ -1412,7 +1308,7 @@ def merge_campaign_results(results: Sequence[CampaignResult]
 
 def run_campaign(spec: CampaignSpec,
                  artifact_dir: Optional[PathLike] = None,
-                 store: Optional[Union[ArtifactStore, PathLike]] = None
+                 store: Optional[Union[Store, PathLike]] = None
                  ) -> CampaignResult:
     """Convenience one-shot: build an engine and run the campaign."""
     return CampaignEngine(spec, store=store).run(artifact_dir=artifact_dir)

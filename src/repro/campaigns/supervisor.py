@@ -57,13 +57,11 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
-from ..store.artifact_store import ArtifactStore
 from ..store.retry import backoff_delay_s
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import CampaignCellResult, CampaignEngine
     from .spec import GridCell
-    from ..testing.chaos import FaultPlan
 
 
 @dataclass
@@ -148,23 +146,20 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
     from .spec import CampaignSpec
 
     _ignore_interrupts()
-    (spec_dict, artifact_dir, device, golden, store_config, golden_sig,
+    (spec_dict, artifact_dir, device, golden, store, golden_sig,
      active, fault_plan) = payload
     engine = CampaignEngine(CampaignSpec.from_dict(spec_dict),
-                            device=device, golden=golden, store=store_config)
+                            device=device, golden=golden, store=store)
     engine._golden_signature = golden_sig
-    if fault_plan is not None and type(engine.store) is ArtifactStore:
-        from ..testing.chaos import ChaosStore
-
-        # Torn-write chaos targets the plain local store; tiered/remote
-        # stores get their faults injected at the transport layer
-        # (FlakyTransport) instead.
-        engine.store = ChaosStore(engine.store.root, fault_plan)
+    if fault_plan is not None:
+        # A chaos plan injects its store faults through the store it
+        # hands back (torn writes on a plain local store).
+        engine.store = fault_plan.worker_store(engine.store)
     if artifact_dir is not None:
         engine._artifact_dir = Path(artifact_dir)
     if active is not None:
         engine._active_indices = frozenset(active)
-    if engine.store is not None and hasattr(engine.store, "acquire_lease"):
+    if engine.store is not None:
         # Register this worker's writer lease up front so concurrent
         # maintenance treats its in-flight writes as off-limits for the
         # whole worker lifetime, not just between put_* calls.
@@ -177,13 +172,9 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
                 break
             _, index, attempt = message
             if fault_plan is not None:
-                if hasattr(engine.store, "arm"):
-                    engine.store.arm(index, attempt)
-                injection = fault_plan.worker_fault(index, attempt)
-                if injection is not None:
-                    # Crash faults never return; hang faults sleep into
-                    # the supervisor's timeout kill.
-                    fault_plan.execute_worker_fault(injection)
+                # Crash faults never return; hang faults sleep into the
+                # supervisor's timeout kill; truncations arm the store.
+                fault_plan.begin_cell(engine.store, index, attempt)
             try:
                 cell_result = engine.run_cell(grid[index])
                 cell_result.attempts = attempt
@@ -194,8 +185,7 @@ def _worker_main(payload: Tuple[Any, ...], task_conn: Any,
             else:
                 result_conn.send(("done", index, attempt, cell_result))
     finally:
-        if (engine.store is not None
-                and hasattr(engine.store, "release_lease")):
+        if engine.store is not None:
             engine.store.release_lease()
     result_conn.send(("bye",))
 
@@ -205,11 +195,14 @@ class CampaignSupervisor:
 
     Returns ``{cell_index: CampaignCellResult}`` covering *every* given
     cell — successes and explicit ``failed`` quarantine rows alike.
+    ``fault_plan`` is a chaos-harness plan
+    (:class:`repro.testing.chaos.FaultPlan`), used only through its
+    ``interrupts_at``, ``worker_store`` and ``begin_cell`` methods.
     """
 
     def __init__(self, engine: "CampaignEngine",
                  policy: Optional[SupervisorPolicy] = None,
-                 fault_plan: Optional["FaultPlan"] = None):
+                 fault_plan: Optional[Any] = None):
         self.engine = engine
         self.policy = policy or SupervisorPolicy.from_spec(engine.spec)
         self.fault_plan = fault_plan
@@ -228,15 +221,16 @@ class CampaignSupervisor:
     # -- worker lifecycle ---------------------------------------------------------
 
     def _worker_payload(self) -> Tuple[Any, ...]:
-        from .engine import store_spawn_config
-
         engine = self.engine
         return (
             engine.spec.to_dict(),
             str(engine._artifact_dir) if engine._artifact_dir else None,
             engine.device,
             engine._golden,
-            store_spawn_config(engine.store),
+            # A fresh store per worker: no inherited lease, a closed
+            # breaker, fault clocks at 0.
+            (engine.store.spawn_config()
+             if engine.store is not None else None),
             engine._golden_signature,
             (sorted(engine._active_indices)
              if engine._active_indices is not None else None),

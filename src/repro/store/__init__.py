@@ -8,15 +8,15 @@ them.  Equal configuration therefore means an instant hit across runs,
 processes and hosts, and any perturbation means a clean miss.  Writes
 are atomic and indexed by a manifest, which doubles as the per-cell
 completion record sharded or interrupted campaigns resume from.
+
+Every store is one verified-object core (:mod:`.core`) over a byte
+backend: :class:`ArtifactStore` over a local directory,
+:class:`RemoteStore` over any :class:`Transport`, and
+:class:`TieredStore` composes the two.  All of them declare the
+:class:`Store` protocol.
 """
 
-from .artifact_store import (
-    STORE_FORMAT_VERSION,
-    ArtifactStore,
-    FsckReport,
-    ManifestEntry,
-    StoreIntegrityError,
-)
+from .artifact_store import ArtifactStore, DirectoryBackend, FsckReport
 from .artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     DEFAULT_GOLDEN_SIGNATURE,
@@ -35,6 +35,14 @@ from .artifacts import (
     unpack_population_traces,
 )
 from .breaker import CircuitBreaker, CircuitOpenError
+from .core import (
+    STORE_FORMAT_VERSION,
+    ManifestEntry,
+    Store,
+    StoreCodecError,
+    StoreIntegrityError,
+    VerifiedStore,
+)
 from .keys import canonical_json, stable_key
 from .leases import (
     DEFAULT_LEASE_TTL_S,
@@ -45,22 +53,19 @@ from .leases import (
     live_foreign_leases,
 )
 from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock, LockTimeout
-from .remote import RemoteStore
+from .remote import RemoteStore, TransportBackend
 from .retry import (
     RetryPolicy,
     backoff_delay_s,
     is_retryable_error,
     is_transient_os_error,
 )
-from .tiered import PendingUploadJournal, TieredStore, build_store
+from .tiered import PendingUploadJournal, TieredStore
 from .transport import (
-    FlakyTransport,
     LoopbackTransport,
     Transport,
     TransportConnectionError,
-    TransportFaultKind,
     TransportTimeout,
-    build_transport,
 )
 
 __all__ = [
@@ -71,8 +76,8 @@ __all__ = [
     "DEFAULT_GOLDEN_SIGNATURE",
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_LOCK_TIMEOUT_S",
+    "DirectoryBackend",
     "FileLock",
-    "FlakyTransport",
     "FsckReport",
     "LeaseInfo",
     "LockTimeout",
@@ -82,17 +87,18 @@ __all__ = [
     "RemoteStore",
     "RetryPolicy",
     "STORE_FORMAT_VERSION",
+    "Store",
+    "StoreCodecError",
     "StoreIntegrityError",
     "TieredStore",
     "Transport",
+    "TransportBackend",
     "TransportConnectionError",
-    "TransportFaultKind",
     "TransportTimeout",
+    "VerifiedStore",
     "WriterLease",
     "backoff_delay_s",
     "break_stale_leases",
-    "build_store",
-    "build_transport",
     "canonical_json",
     "cell_result_key",
     "delay_differences_key",

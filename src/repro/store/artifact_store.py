@@ -1,11 +1,14 @@
 """Content-addressed on-disk artifact store.
 
-Layout of a store directory::
+:class:`ArtifactStore` is the verified-object core
+(:mod:`repro.store.core`) over a local directory,
+:class:`DirectoryBackend`.  Layout of a store directory::
 
     <root>/
         objects/     <key>.json | <key>.npz    the payloads
         manifest/    <key>.json                one index entry per key
         quarantine/  <filename>                corrupt objects, moved aside
+        locks/ leases/                         the concurrency protocol
 
 Writes are *atomic*: the payload is written to a hidden ``*.tmp`` file
 in the same directory and moved into place with :func:`os.replace`, and
@@ -15,18 +18,12 @@ so a crash mid-write (a stray temp file, or an object without its
 manifest entry) can never surface as a corrupt hit — the next producer
 simply recomputes and overwrites.
 
-Reads are *verified*: every manifest entry records the SHA-256 digest of
-the payload bytes, and :meth:`ArtifactStore.get_json` /
-:meth:`ArtifactStore.get_arrays` re-hash the object before parsing it.
-A torn or truncated object (digest mismatch, unparseable JSON, a bad
-zip) is **never returned**: the object is moved to ``quarantine/``, the
-manifest entry is dropped — so the key becomes a clean miss — and the
-read raises :class:`StoreIntegrityError` naming the key and the object
-path.  The :meth:`ArtifactStore.load_json` / :meth:`load_arrays`
-convenience readers fold both "missing" and "corrupt" into ``None`` for
-callers that recompute on a miss.  :meth:`ArtifactStore.fsck` audits the
-whole store (digests, parseability, dangling entries, orphan objects,
-stray temp files) and :meth:`ArtifactStore.gc` sweeps the garbage.
+Reads are *verified* by the core: a torn or truncated object is moved to
+``quarantine/``, its manifest entry dropped, and the read raises
+:class:`~repro.store.core.StoreIntegrityError`.
+:meth:`DirectoryBackend.fsck` audits the whole store (digests,
+parseability, dangling entries, orphan objects, stray temp files) and
+:meth:`DirectoryBackend.gc` sweeps the garbage.
 
 Because keys are content addresses of the *producing* configuration
 (:mod:`repro.store.keys`) and every producer in this repository is
@@ -40,8 +37,8 @@ directory.  Writers register a heartbeated :mod:`lease
 (:mod:`repro.store.locks`) around each file mutation, plus a per-key
 write lock across the object-then-manifest pair; reads stay lock-free
 on the hit path (the digest check guarantees integrity, not a lock).
-:meth:`ArtifactStore.gc` and :meth:`ArtifactStore.fsck(repair=True)
-<ArtifactStore.fsck>` take the *exclusive* side with a bounded wait,
+:meth:`DirectoryBackend.gc` and :meth:`DirectoryBackend.fsck(repair=True)
+<DirectoryBackend.fsck>` take the *exclusive* side with a bounded wait,
 break stale leases (dead pid or expired heartbeat), treat orphan
 objects and temp files covered by a live foreign lease as off-limits
 (a live writer mid-``put`` looks exactly like an orphan), and
@@ -52,97 +49,30 @@ campaign fleet.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
 import tempfile
 import time
-import zipfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from .core import DECODE_ERRORS, ManifestEntry, VerifiedStore, _sha256
 from .leases import (
-    DEFAULT_LEASE_TTL_S,
     LeaseInfo,
     WriterLease,
     break_stale_leases,
     list_leases,
     live_foreign_leases,
 )
-from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock, LockTimeout
+from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
 from .retry import RetryPolicy
 
 PathLike = Union[str, Path]
-
-#: On-disk layout version, stored in every manifest entry.  Version 2
-#: added the payload ``digest``; version-1 entries (no digest) still
-#: load, they just skip digest verification.
-STORE_FORMAT_VERSION = 2
-
-_KEY_FORBIDDEN = set("/\\")
-
-
-class StoreIntegrityError(RuntimeError):
-    """A stored object failed verification (torn, truncated or corrupt).
-
-    Raised by the ``get_*`` readers *after* the corrupt object has been
-    quarantined and its manifest entry dropped — the key is a clean miss
-    by the time the caller sees this, so retrying the read-through path
-    recomputes instead of crashing again.
-    """
-
-
-def _check_key(key: str) -> str:
-    if not key or not isinstance(key, str):
-        raise ValueError("artifact key must be a non-empty string")
-    if set(key) & _KEY_FORBIDDEN or key.startswith("."):
-        raise ValueError(f"artifact key {key!r} is not a safe filename")
-    return key
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def encode_json_bytes(payload: Any) -> bytes:
-    """The canonical JSON payload encoding of the store.
-
-    One encoder serves every backend (local directory, remote object
-    store): identical payloads produce identical bytes, hence identical
-    digests, which is what makes replication and journal drains
-    idempotent.
-    """
-    from ..io.results import to_jsonable
-
-    return json.dumps(to_jsonable(payload), indent=2,
-                      sort_keys=True).encode()
-
-
-def encode_array_bytes(arrays: Mapping[str, "np.ndarray"]) -> bytes:
-    """The canonical compressed-npz payload encoding of the store."""
-    if not arrays:
-        raise ValueError("cannot store an empty array payload")
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **{str(name): np.asarray(value)
-                                   for name, value in arrays.items()})
-    return buffer.getvalue()
-
-
-def decode_json_bytes(data: bytes) -> Any:
-    """Parse a JSON object payload (raises ``ValueError`` when torn)."""
-    return json.loads(data)
-
-
-def decode_array_bytes(data: bytes) -> Dict[str, "np.ndarray"]:
-    """Parse an npz object payload (raises on a torn/corrupt archive)."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files}
-
 
 def _list_dir(directory: Path) -> List[Path]:
     """Sorted children of ``directory``; empty when the directory is
@@ -170,35 +100,23 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """Index record of one stored artifact."""
-
-    key: str
-    kind: str
-    filename: str
-    meta: Dict[str, Any] = field(default_factory=dict)
-    #: SHA-256 of the object payload bytes; ``None`` on legacy
-    #: (format-version-1) entries, which skip digest verification.
-    digest: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"format_version": STORE_FORMAT_VERSION, "key": self.key,
-                "kind": self.kind, "filename": self.filename,
-                "meta": dict(self.meta), "digest": self.digest}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ManifestEntry":
-        return cls(key=payload["key"], kind=payload["kind"],
-                   filename=payload["filename"],
-                   meta=dict(payload.get("meta", {})),
-                   digest=payload.get("digest"))
+def _parses(filename: str, data: bytes) -> bool:
+    """True when ``data`` parses as the payload its object name promises
+    (an npz archive is opened, not decompressed)."""
+    try:
+        if filename.endswith(".json"):
+            json.loads(data)
+        else:
+            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+                list(archive.files)
+    except DECODE_ERRORS:
+        return False
+    return True
 
 
 @dataclass
 class FsckReport:
-    """Outcome of one :meth:`ArtifactStore.fsck` audit."""
-
+    """Outcome of one :meth:`DirectoryBackend.fsck` audit."""
     ok: List[str] = field(default_factory=list)
     #: Keys whose object failed digest verification or parsing.
     corrupt: List[str] = field(default_factory=list)
@@ -257,17 +175,16 @@ class FsckReport:
         return "\n".join(lines)
 
 
-class ArtifactStore:
-    """Content-addressed npz/JSON artifact store with a manifest index.
 
-    ``locking=False`` restores the single-process store (no locks, no
-    leases) — kept for the concurrency-overhead benchmark baseline and
+class DirectoryBackend:
+    """A store directory as the byte backend of :class:`ArtifactStore`.
+
+    ``locking=False`` restores the single-process directory (no locks,
+    no leases) — kept for the concurrency-overhead benchmark baseline and
     for callers that own the directory exclusively.
     """
 
-    def __init__(self, root: PathLike, *, locking: bool = True,
-                 lock_timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
-                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S):
+    def __init__(self, root: PathLike, *, locking: bool = True):
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.manifest_dir = self.root / "manifest"
@@ -275,32 +192,30 @@ class ArtifactStore:
         self.locks_dir = self.root / "locks"
         self.leases_dir = self.root / "leases"
         self.locking = bool(locking)
-        self.lock_timeout_s = float(lock_timeout_s)
-        self.lease_ttl_s = float(lease_ttl_s)
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         self._lease: Optional[WriterLease] = None
-        #: Transient-IO retry policy around lock acquisition and
-        #: manifest/object reads (EAGAIN-class blips, not real misses).
-        self.retry = RetryPolicy(token=f"store:{os.getpid()}")
+
+    @property
+    def retry(self) -> RetryPolicy:
+        """EAGAIN-class retries around locks and reads; the pid in the
+        token spreads concurrent processes' backoffs apart."""
+        return RetryPolicy(token=f"store:{os.getpid()}")
 
     # -- locks & leases -----------------------------------------------------------
 
-    def _store_lock(self) -> FileLock:
-        return FileLock(self.locks_dir / "store.lock")
-
-    def _key_lock(self, key: str) -> FileLock:
-        return FileLock(self.locks_dir / f"key.{key}.lock")
-
     @contextmanager
-    def _shared_store_lock(self):
-        """Shared side of the store lock around one file mutation."""
+    def _store_lock(self, shared: bool = True,
+                    wait_s: Optional[float] = None):
+        """The store lock: its shared side around each file mutation, the
+        exclusive side (bounded ``wait_s``) for gc and fsck --repair."""
         if not self.locking:
             yield
             return
-        lock = self._store_lock()
-        self.retry.call(lambda: lock.acquire(
-            shared=True, timeout_s=self.lock_timeout_s))
+        lock = FileLock(self.locks_dir / "store.lock")
+        timeout = DEFAULT_LOCK_TIMEOUT_S if wait_s is None else float(wait_s)
+        self.retry.call(lambda: lock.acquire(shared=shared,
+                                             timeout_s=timeout))
         try:
             yield
         finally:
@@ -310,44 +225,21 @@ class ArtifactStore:
         """Per-key writer mutual exclusion (plus lease upkeep)."""
         if not self.locking:
             return nullcontext()
-        self._ensure_lease()
-        lock = self._key_lock(key)
-        return lock.holding(shared=False, timeout_s=self.lock_timeout_s)
-
-    @contextmanager
-    def _maintenance_lock(self, wait_s: Optional[float]):
-        """Exclusive store lock with bounded wait for gc/fsck-repair."""
-        if not self.locking:
-            yield
-            return
-        lock = self._store_lock()
-        timeout = self.lock_timeout_s if wait_s is None else float(wait_s)
-        lock.acquire(shared=False, timeout_s=timeout)
-        try:
-            yield
-        finally:
-            lock.release()
-
-    def acquire_lease(self, owner: str = "") -> Optional[WriterLease]:
-        """Register (or refresh) this process's writer lease.
-
-        Campaign engines call this at run start so their whole run —
-        including the compute time between store writes — counts as
-        live to concurrent maintenance.  ``put_*`` calls it implicitly.
-        """
-        if not self.locking:
-            return None
-        if self._lease is None:
-            self._lease = WriterLease(self.leases_dir, owner=owner,
-                                      ttl_s=self.lease_ttl_s)
-        self._lease.acquire()
-        return self._lease
-
-    def _ensure_lease(self) -> None:
         if self._lease is None or self._lease._released:
             self.acquire_lease()
         else:
             self._lease.heartbeat()
+        lock = FileLock(self.locks_dir / f"key.{key}.lock")
+        return lock.holding(shared=False, timeout_s=DEFAULT_LOCK_TIMEOUT_S)
+
+    def acquire_lease(self, owner: str = "") -> Optional[WriterLease]:
+        """Register (or refresh) this process's writer lease."""
+        if not self.locking:
+            return None
+        if self._lease is None:
+            self._lease = WriterLease(self.leases_dir, owner=owner)
+        self._lease.acquire()
+        return self._lease
 
     def release_lease(self) -> None:
         """Drop this process's writer lease (idempotent)."""
@@ -358,81 +250,22 @@ class ArtifactStore:
         """Every parseable lease currently registered on this store."""
         return list_leases(self.leases_dir)
 
-    # -- write --------------------------------------------------------------------
+    # -- the byte-backend seam ----------------------------------------------------
 
-    def _record(self, key: str, kind: str, object_path: Path,
-                meta: Optional[Mapping[str, Any]],
-                digest: Optional[str]) -> ManifestEntry:
-        entry = ManifestEntry(key=key, kind=kind, filename=object_path.name,
-                              meta=dict(meta or {}), digest=digest)
-        with self._shared_store_lock():
-            _atomic_write_bytes(
-                self.manifest_dir / f"{key}.json",
-                json.dumps(entry.to_dict(), indent=2,
-                           sort_keys=True).encode(),
-            )
-        return entry
-
-    def _write_object(self, object_path: Path, data: bytes) -> None:
-        with self._shared_store_lock():
-            _atomic_write_bytes(object_path, data)
-
-    def put_json(self, key: str, payload: Any, *, kind: str = "json",
-                 meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a JSON-serialisable payload under ``key``."""
-        _check_key(key)
-        data = encode_json_bytes(payload)
-        object_path = self.objects_dir / f"{key}.json"
-        with self._write_guard(key):
-            self._write_object(object_path, data)
-            return self._record(key, kind, object_path, meta, _sha256(data))
-
-    def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
-                   kind: str = "arrays",
-                   meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a named-array payload under ``key`` as compressed npz."""
-        _check_key(key)
-        data = encode_array_bytes(arrays)
-        object_path = self.objects_dir / f"{key}.npz"
-        with self._write_guard(key):
-            self._write_object(object_path, data)
-            return self._record(key, kind, object_path, meta, _sha256(data))
-
-    def put_verbatim(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
-        """Replicate an artifact byte-for-byte from another backend.
-
-        The tiered store's remote→local backfill (and any future
-        replicator) lands payloads through here: the bytes are verified
-        against the entry's digest *before* anything touches disk, then
-        written with the same atomic object-then-manifest protocol as a
-        fresh ``put_*`` — so a corrupt payload can never be installed as
-        a local hit.
-        """
-        _check_key(entry.key)
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            raise StoreIntegrityError(
-                f"refusing to replicate artifact {entry.key!r}: payload "
-                f"bytes do not match the manifest digest")
-        object_path = self.objects_dir / entry.filename
+    def write(self, entry: ManifestEntry, data: bytes) -> None:
+        """The object, then its manifest entry, under the per-key lock."""
         with self._write_guard(entry.key):
-            self._write_object(object_path, data)
-            return self._record(entry.key, entry.kind, object_path,
-                                entry.meta, entry.digest)
+            with self._store_lock():
+                _atomic_write_bytes(self.objects_dir / entry.filename, data)
+            self._record(entry)
 
-    def object_bytes(self, key: str) -> bytes:
-        """The verified raw payload bytes of ``key`` (for replication)."""
-        return self._verified_bytes(key)
+    def _record(self, entry: ManifestEntry) -> None:
+        with self._store_lock():
+            _atomic_write_bytes(self.manifest_dir / f"{entry.key}.json",
+                                entry.to_bytes())
 
-    def spawn_config(self) -> Dict[str, Any]:
-        """A picklable description a worker process can rebuild from."""
-        return {"kind": "local", "root": str(self.root),
-                "locking": self.locking}
-
-    # -- read ---------------------------------------------------------------------
-
-    def entry(self, key: str) -> Optional[ManifestEntry]:
+    def read_entry(self, key: str) -> Optional[ManifestEntry]:
         """The manifest entry of ``key`` — ``None`` unless key is a full hit."""
-        _check_key(key)
         manifest_path = self.manifest_dir / f"{key}.json"
         if not manifest_path.exists():
             return None
@@ -448,13 +281,22 @@ class ArtifactStore:
             return None
         return entry
 
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
+    def read_object(self, entry: ManifestEntry) -> bytes:
+        try:
+            # Transient EAGAIN-class blips retry with backoff; a
+            # vanished object (concurrent discard/gc between the
+            # manifest read and this read) is a clean *miss*, not a
+            # raw FileNotFoundError escaping into the engine.
+            return self.retry.call((self.objects_dir / entry.filename)
+                                   .read_bytes)
+        except FileNotFoundError:
+            raise KeyError(
+                f"artifact {entry.key!r} object disappeared between the "
+                f"manifest read and the payload read (concurrent "
+                f"discard or gc); the key is a miss"
+            ) from None
 
-    def has(self, key: str) -> bool:
-        return key in self
-
-    def _quarantine_object(self, key: str, object_path: Path) -> Path:
+    def quarantine(self, entry: ManifestEntry) -> Path:
         """Move a corrupt object aside and drop its manifest entry.
 
         After this the key is a clean *miss*: the corrupt payload can
@@ -464,148 +306,42 @@ class ArtifactStore:
         payload instead of silently clobbering the previous one.
         """
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        destination = self.quarantine_dir / object_path.name
+        destination = self.quarantine_dir / entry.filename
         suffix = 0
         while destination.exists():
             suffix += 1
-            destination = self.quarantine_dir / (
-                f"{object_path.name}.{suffix}")
+            destination = self.quarantine_dir / f"{entry.filename}.{suffix}"
         try:
-            os.replace(object_path, destination)
+            os.replace(self.objects_dir / entry.filename, destination)
         except OSError:
             pass
         try:
-            (self.manifest_dir / f"{key}.json").unlink()
+            (self.manifest_dir / f"{entry.key}.json").unlink()
         except OSError:
             pass
         return destination
 
-    def _verified_bytes(self, key: str) -> bytes:
-        """The object payload of ``key``, digest-checked.
+    def keys(self) -> List[str]:
+        """The keys with a valid manifest entry *and* object."""
+        return [path.stem for path in sorted(self.manifest_dir.glob("*.json"))
+                if self.read_entry(path.stem) is not None]
 
-        Raises ``KeyError`` on a miss and :class:`StoreIntegrityError`
-        (after quarantining) when the payload does not match its
-        recorded digest.
+    def remove(self, key: str, entry: Optional[ManifestEntry]) -> bool:
+        """Remove ``key``'s manifest entry, then its objects.
+
+        Objects go by key over ``objects/``, not only through the entry:
+        an unreadable entry (e.g. a torn manifest write) must not leak
+        the object file forever.
         """
-        entry = self.entry(key)
-        if entry is None:
-            raise KeyError(f"artifact {key!r} is not in the store")
-        object_path = self.objects_dir / entry.filename
-        try:
-            # Transient EAGAIN-class blips retry with backoff; a
-            # vanished object (concurrent discard/gc between the
-            # manifest read and this read) is a clean *miss*, not a
-            # raw FileNotFoundError escaping into the engine.
-            data = self.retry.call(object_path.read_bytes)
-        except FileNotFoundError:
-            raise KeyError(
-                f"artifact {key!r} object disappeared between the "
-                f"manifest read and the payload read (concurrent "
-                f"discard or gc); the key is a miss"
-            ) from None
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} does not match its "
-                f"recorded SHA-256 digest (torn or truncated write); the "
-                f"corrupt object was quarantined to {destination} and the "
-                f"key is now a miss"
-            )
-        return data
-
-    def get_json(self, key: str) -> Any:
-        """Load the JSON payload stored under ``key``.
-
-        A corrupt payload is quarantined and raised as
-        :class:`StoreIntegrityError` — never returned, never a raw
-        ``JSONDecodeError``.
-        """
-        data = self._verified_bytes(key)
-        try:
-            return decode_json_bytes(data)
-        except ValueError as error:
-            object_path = self.objects_dir / f"{key}.json"
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} holds unparseable "
-                f"JSON ({error}); the corrupt object was quarantined to "
-                f"{destination} and the key is now a miss"
-            ) from error
-
-    def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
-        """Load the named-array payload stored under ``key``.
-
-        A corrupt payload is quarantined and raised as
-        :class:`StoreIntegrityError` — never returned, never a raw
-        ``BadZipFile``.
-        """
-        data = self._verified_bytes(key)
-        try:
-            return decode_array_bytes(data)
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as error:
-            object_path = self.objects_dir / f"{key}.npz"
-            destination = self._quarantine_object(key, object_path)
-            raise StoreIntegrityError(
-                f"artifact {key!r} object {object_path} holds an unreadable "
-                f"npz archive ({error}); the corrupt object was quarantined "
-                f"to {destination} and the key is now a miss"
-            ) from error
-
-    def load_json(self, key: str) -> Optional[Any]:
-        """Read-through helper: the payload, or ``None`` on miss *or*
-        corruption (the corrupt object is quarantined either way)."""
-        try:
-            return self.get_json(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Read-through helper: the arrays, or ``None`` on miss *or*
-        corruption (the corrupt object is quarantined either way)."""
-        try:
-            return self.get_arrays(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    # -- index --------------------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
-        """Iterate over the keys with a valid manifest entry *and* object."""
-        for manifest_path in sorted(self.manifest_dir.glob("*.json")):
-            key = manifest_path.stem
-            if key in self:
-                yield key
-
-    def index(self) -> Dict[str, ManifestEntry]:
-        """The manifest: every complete (entry + object) artifact."""
-        entries = {}
-        for key in self.keys():
-            entry = self.entry(key)
-            if entry is not None:
-                entries[key] = entry
-        return entries
-
-    def discard(self, key: str) -> bool:
-        """Remove ``key`` (manifest entry first, then the object).
-
-        The object is removed by key prefix over ``objects/``, not only
-        through the manifest entry: an unreadable entry (e.g. a torn
-        manifest write) must not leak the object file forever.
-        """
-        _check_key(key)
-        entry = self.entry(key)
         removed = False
-        manifest_path = self.manifest_dir / f"{key}.json"
-        if manifest_path.exists():
-            manifest_path.unlink()
-            removed = True
-        object_paths = {self.objects_dir / f"{key}.json",
-                        self.objects_dir / f"{key}.npz"}
+        paths = [self.manifest_dir / f"{key}.json",
+                 self.objects_dir / f"{key}.json",
+                 self.objects_dir / f"{key}.npz"]
         if entry is not None:
-            object_paths.add(self.objects_dir / entry.filename)
-        for object_path in object_paths:
-            if object_path.exists():
-                object_path.unlink()
+            paths.append(self.objects_dir / entry.filename)
+        for path in paths:
+            if path.exists():
+                path.unlink()
                 removed = True
         return removed
 
@@ -650,24 +386,15 @@ class ArtifactStore:
                 pass
         return removed
 
-    def _verify_entry(self, key: str, entry: ManifestEntry) -> bool:
+    def _verify_entry(self, entry: ManifestEntry) -> bool:
         """True when the entry's payload passes digest + parse checks."""
-        object_path = self.objects_dir / entry.filename
         try:
-            data = object_path.read_bytes()
+            data = (self.objects_dir / entry.filename).read_bytes()
         except OSError:
             return False
         if entry.digest is not None and _sha256(data) != entry.digest:
             return False
-        try:
-            if entry.filename.endswith(".json"):
-                json.loads(data)
-            else:
-                with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                    list(archive.files)
-        except (ValueError, zipfile.BadZipFile, OSError, EOFError):
-            return False
-        return True
+        return _parses(entry.filename, data)
 
     def _rebuild_manifest(self, key: str) -> Optional[ManifestEntry]:
         """Rebuild a corrupt/unreadable manifest from the intact object.
@@ -683,14 +410,7 @@ class ArtifactStore:
                 data = object_path.read_bytes()
             except OSError:
                 continue
-            try:
-                if suffix == ".json":
-                    json.loads(data)
-                else:
-                    with np.load(io.BytesIO(data),
-                                 allow_pickle=False) as archive:
-                        list(archive.files)
-            except (ValueError, zipfile.BadZipFile, OSError, EOFError):
+            if not _parses(object_path.name, data):
                 continue
             # Written directly, NOT via _record: the caller (fsck
             # --repair) already holds the exclusive store lock, and a
@@ -700,18 +420,48 @@ class ArtifactStore:
                                   filename=object_path.name,
                                   meta={"rebuilt": True},
                                   digest=_sha256(data))
-            _atomic_write_bytes(
-                self.manifest_dir / f"{key}.json",
-                json.dumps(entry.to_dict(), indent=2, sort_keys=True).encode())
+            _atomic_write_bytes(self.manifest_dir / f"{key}.json",
+                                entry.to_bytes())
             return entry
         return None
 
+    def _lease_scan(self, break_stale: bool, force: bool):
+        """``(broken stale lease names, live foreign leases)``; without
+        lease accounting (or with ``force``) nothing counts as live."""
+        broken = ([lease.path.name
+                   for lease in break_stale_leases(self.leases_dir)]
+                  if break_stale and self.locking else [])
+        live = (live_foreign_leases(self.leases_dir)
+                if self.locking and not force else [])
+        return broken, live
+
+    def _orphans(self, referenced: set) -> List[Path]:
+        """Object files (temp files aside) no name in ``referenced``."""
+        return [path for path in _list_dir(self.objects_dir)
+                if path.name not in referenced
+                and not (path.name.startswith(".")
+                         and path.name.endswith(".tmp"))]
+
+    def _remove_orphan(self, path: Path) -> bool:
+        """Delete one orphan object; True when it was removed.
+
+        Re-verified against the manifest immediately before the
+        destructive action: a writer may have recorded the entry since
+        the index snapshot (possible only without the exclusive lock's
+        protection, i.e. in ``force`` mode).
+        """
+        if (self.manifest_dir / f"{path.stem}.json").exists():
+            return False
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - lost a delete race
+            return False
+        return True
+
     def _protected_filenames(self) -> set:
         """Object filenames no maintenance pass may treat as orphans."""
-        protected: set = set()
-        for entry in self.index().values():
-            protected.add(entry.filename)
-        return protected
+        entries = (self.read_entry(key) for key in self.keys())
+        return {entry.filename for entry in entries if entry is not None}
 
     def fsck(self, repair: bool = False,
              wait_s: Optional[float] = None,
@@ -731,18 +481,12 @@ class ArtifactStore:
         object and manifest writes — unless ``force=True``.  A second
         ``repair`` pass over an idle store reports clean.
         """
-        guard = self._maintenance_lock(wait_s) if repair else nullcontext()
-        with guard:
-            return self._fsck_locked(repair=repair, force=force)
+        with self._store_lock(False, wait_s) if repair else nullcontext():
+            return self._audit(repair, force)
 
-    def _fsck_locked(self, repair: bool, force: bool) -> FsckReport:
+    def _audit(self, repair: bool, force: bool) -> FsckReport:
         report = FsckReport(repaired=repair)
-        if repair and self.locking:
-            report.broken_leases = [
-                lease.path.name
-                for lease in break_stale_leases(self.leases_dir)]
-        live = (live_foreign_leases(self.leases_dir)
-                if self.locking and not force else [])
+        report.broken_leases, live = self._lease_scan(repair, force)
         referenced: set = set()
         for manifest_path in sorted(self.manifest_dir.glob("*.json")):
             key = manifest_path.stem
@@ -761,11 +505,7 @@ class ArtifactStore:
                     report.rebuilt_manifests.append(key)
                 else:
                     report.unreadable_manifests.append(key)
-                    manifest_path.unlink(missing_ok=True)
-                    for suffix in (".json", ".npz"):
-                        stray = self.objects_dir / f"{key}{suffix}"
-                        if stray.exists():
-                            stray.unlink()
+                    self.remove(key, None)
                 continue
             referenced.add(entry.filename)
             object_path = self.objects_dir / entry.filename
@@ -774,34 +514,19 @@ class ArtifactStore:
                 if repair:
                     manifest_path.unlink(missing_ok=True)
                 continue
-            if self._verify_entry(key, entry):
+            if self._verify_entry(entry):
                 report.ok.append(key)
             else:
                 report.corrupt.append(key)
                 if repair:
-                    self._quarantine_object(key, object_path)
-        for object_path in _list_dir(self.objects_dir):
-            name = object_path.name
-            if name.startswith(".") and name.endswith(".tmp"):
-                continue
-            if name in referenced:
-                continue
-            if live:
-                report.leased_orphans.append(name)
-                continue
-            report.orphan_objects.append(name)
-            if repair:
-                # Re-verify against the manifest immediately before the
-                # destructive action: a writer may have recorded the
-                # entry since the index snapshot (force mode only — the
-                # exclusive lock already excludes writers otherwise).
-                if (self.manifest_dir / f"{object_path.stem}.json").exists():
-                    report.orphan_objects.pop()
-                    continue
-                try:
-                    object_path.unlink()
-                except OSError:  # pragma: no cover - lost a delete race
-                    pass
+                    self.quarantine(entry)
+        orphans = self._orphans(referenced)
+        if live:
+            report.leased_orphans = [path.name for path in orphans]
+        else:
+            report.orphan_objects = [path.name for path in orphans
+                                     if not repair
+                                     or self._remove_orphan(path)]
         if live:
             report.stray_tmp = []
         else:
@@ -834,41 +559,13 @@ class ArtifactStore:
         3600 s guard on a ``locking=False`` store.  Returns removal
         counts per category plus the broken/live lease names.
         """
-        with self._maintenance_lock(wait_s):
-            broken: List[str] = []
-            if self.locking:
-                broken = [lease.path.name
-                          for lease in break_stale_leases(self.leases_dir)]
-            live = (live_foreign_leases(self.leases_dir)
-                    if self.locking and not force else [])
+        with self._store_lock(False, wait_s):
+            broken, live = self._lease_scan(True, force)
             if tmp_older_than_s is None:
                 tmp_older_than_s = 0.0 if self.locking else 3600.0
-            orphans = 0
-            skipped_leased = 0
-            if live:
-                skipped_leased = sum(
-                    1 for path in _list_dir(self.objects_dir)
-                    if not (path.name.startswith(".")
-                            and path.name.endswith(".tmp"))
-                    and path.name not in self._protected_filenames())
-            else:
-                referenced = self._protected_filenames()
-                for object_path in _list_dir(self.objects_dir):
-                    name = object_path.name
-                    if name.startswith(".") and name.endswith(".tmp"):
-                        continue
-                    if name in referenced:
-                        continue
-                    # Re-verify right before deleting: the manifest may
-                    # have gained this key since the index snapshot.
-                    if (self.manifest_dir
-                            / f"{object_path.stem}.json").exists():
-                        continue
-                    try:
-                        object_path.unlink()
-                        orphans += 1
-                    except OSError:
-                        pass
+            orphans = self._orphans(self._protected_filenames())
+            removed = (0 if live
+                       else sum(map(self._remove_orphan, orphans)))
             swept = 0 if live else len(self.sweep_tmp(tmp_older_than_s))
             quarantined = 0
             if purge_quarantine and self.quarantine_dir.exists():
@@ -880,9 +577,9 @@ class ArtifactStore:
                         pass
             if not live and self.locking:
                 self._sweep_key_locks()
-            return {"orphan_objects": orphans, "stray_tmp": swept,
+            return {"orphan_objects": removed, "stray_tmp": swept,
                     "quarantined": quarantined,
-                    "skipped_leased": skipped_leased,
+                    "skipped_leased": len(orphans) if live else 0,
                     "broken_leases": broken,
                     "live_leases": [lease.path.name for lease in live]}
 
@@ -903,8 +600,30 @@ class ArtifactStore:
             except OSError:  # pragma: no cover - concurrent sweep
                 pass
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"ArtifactStore({str(self.root)!r}, {len(self)} artifacts)"
+class ArtifactStore(VerifiedStore):
+    """The verified-object core over a local store directory.
+
+    ``root`` is the directory path, or a ready :class:`DirectoryBackend`
+    (the chaos harness passes a fault-hook one).  The directory's own
+    surface — ``objects_dir``/``manifest_dir``/``quarantine_dir``,
+    ``leases``, ``fsck``, ``gc`` and ``sweep_tmp`` — is reached through
+    the store.
+    """
+
+    def __init__(self, root: Union[PathLike, DirectoryBackend], *,
+                 locking: bool = True):
+        super().__init__(root if isinstance(root, DirectoryBackend)
+                         else DirectoryBackend(root, locking=locking))
+
+    # Bound in this body, not inherited: the benchmark tracer wraps the
+    # entry points each store class defines itself.
+    put_json = VerifiedStore.put_json
+    put_arrays = VerifiedStore.put_arrays
+    get_arrays = VerifiedStore.get_arrays
+    load_json = VerifiedStore.load_json
+    load_arrays = VerifiedStore.load_arrays
+
+    def spawn_config(self) -> "ArtifactStore":
+        """A fresh store over the same directory, for a worker process."""
+        return ArtifactStore(self.root, locking=self.locking)

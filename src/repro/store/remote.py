@@ -1,34 +1,28 @@
 """Object-store-semantics artifact store over a blob transport.
 
-:class:`RemoteStore` speaks the same artifact protocol as the local
-:class:`~repro.store.artifact_store.ArtifactStore` — identical SHA-256
-content keys, identical canonical payload encodings, a manifest entry
-per key — but stores everything through a :class:`~repro.store
-.transport.Transport`, with the robustness layers a network demands:
+:class:`RemoteStore` is the verified-object core (:mod:`repro.store.core`)
+— identical SHA-256 content keys, canonical payload encodings, a
+manifest entry per key, digest-verified reads with quarantine — over
+:class:`TransportBackend`, which adds the robustness layers a network
+demands:
 
 * **Atomic puts.**  The payload is uploaded to a ``tmp/`` key and
   *committed* (renamed) to its final ``objects/`` key before the
   manifest entry is written; a crash or partition mid-upload leaves a
   tmp blob, never a half-visible object, and the manifest is written
   last so a key is only ever a hit once its payload is fully in place.
-* **Verified gets.**  Every read re-hashes the payload against the
-  manifest digest.  A mismatch (torn upload, in-flight corruption)
-  moves the blob to ``quarantine/`` *on the remote*, drops the remote
-  manifest entry, and raises
-  :class:`~repro.store.artifact_store.StoreIntegrityError` — the same
-  contract as the local store, so read-through callers recompute.
 * **Retries.**  Every transport call runs under the store's
   :class:`~repro.store.retry.RetryPolicy` with the explicit
   :func:`~repro.store.retry.is_retryable_error` classification:
   connection resets and timeouts retry with bounded deterministic
   jitter; misses and corruption never do.
-* **Circuit breaker.**  After ``failure_threshold`` consecutive
-  failed operations the breaker opens and every call fails fast with
+* **Circuit breaker.**  After three consecutive failed operations the
+  breaker opens and every call fails fast with
   :class:`~repro.store.breaker.CircuitOpenError` (a
   ``ConnectionError``) until a cooldown elapses and a half-open probe
-  succeeds.  The breaker clock defaults to *operation counting*, not
-  wall time, so breaker behaviour is a pure function of the operation
-  sequence — a requirement of the deterministic chaos tests.
+  succeeds.  The breaker clock counts *operations*, not wall time, so
+  breaker behaviour is a pure function of the operation sequence — a
+  requirement of the deterministic chaos tests.
 
 Remote key layout (slash-separated transport keys)::
 
@@ -41,93 +35,68 @@ Remote key layout (slash-separated transport keys)::
 from __future__ import annotations
 
 import json
-import zipfile
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from pathlib import Path
+from typing import List, Optional, Union
 
-import numpy as np
-
-from .artifact_store import (
-    ManifestEntry,
-    StoreIntegrityError,
-    _check_key,
-    _sha256,
-    decode_array_bytes,
-    decode_json_bytes,
-    encode_array_bytes,
-    encode_json_bytes,
-)
 from .breaker import CircuitBreaker, CircuitOpenError
+from .core import ManifestEntry, VerifiedStore
 from .retry import RetryPolicy, is_retryable_error
-from .transport import Transport, build_transport
+from .transport import LoopbackTransport, Transport
 
-#: Default per-operation transport time budget.
-DEFAULT_OP_TIMEOUT_S = 30.0
+#: Per-operation transport time budget.
+OP_TIMEOUT_S = 30.0
 
 
-class _OpClock:
-    """A clock that ticks once per store operation.
+class TransportBackend:
+    """Any :class:`~repro.store.transport.Transport` as a store backend.
 
-    Feeding this to the circuit breaker makes "cooldown" mean "N further
-    operations attempted", which is deterministic under test and a
-    reasonable proxy for elapsed time in a busy campaign.
+    Leases and file locks are local-filesystem concepts and are no-ops
+    here — the remote's atomicity comes from upload-then-commit, and
+    last-writer-wins is safe because equal keys hold equal bytes.
     """
 
-    def __init__(self) -> None:
-        self.ticks = 0
+    def __init__(self, transport: Transport, retry: RetryPolicy):
+        self.transport = transport
+        self.retry = retry
+        #: Store operations attempted — the breaker's clock, so
+        #: "cooldown" means "N further operations attempted":
+        #: deterministic under test and a reasonable proxy for elapsed
+        #: time in a busy campaign.
+        self.ops = 0
+        self.breaker = CircuitBreaker(failure_threshold=3, reset_after=8.0,
+                                      clock=self._clock)
 
-    def __call__(self) -> float:
-        return float(self.ticks)
+    def _clock(self) -> float:
+        return float(self.ops)
 
-    def tick(self) -> None:
-        self.ticks += 1
+    @property
+    def root(self) -> str:
+        """A display name (transports have no local root path)."""
+        return str(getattr(self.transport, "root", "remote"))
 
+    def acquire_lease(self, owner: str = "") -> None:
+        return None
 
-class RemoteStore:
-    """Content-addressed artifact store over a blob transport.
+    def release_lease(self) -> None:
+        return None
 
-    Drop-in for the read/write surface campaign engines use
-    (``put_json``/``put_arrays``/``load_json``/``load_arrays``/
-    ``entry``/``keys``); leases and file locks are local-filesystem
-    concepts and are no-ops here — the remote's atomicity comes from
-    upload-then-commit, and last-writer-wins is safe because equal keys
-    hold equal bytes.
-    """
-
-    def __init__(self, transport: Union[Transport, str, Dict[str, Any]], *,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 op_timeout_s: float = DEFAULT_OP_TIMEOUT_S):
-        self.transport = build_transport(transport)
-        self.retry = retry if retry is not None else RetryPolicy(
-            token="remote-store")
-        self._op_clock: Optional[_OpClock] = None
-        if breaker is None:
-            self._op_clock = _OpClock()
-            breaker = CircuitBreaker(failure_threshold=3, reset_after=8.0,
-                                     clock=self._op_clock)
-        self.breaker = breaker
-        self.op_timeout_s = float(op_timeout_s)
-
-    # -- plumbing -----------------------------------------------------------------
-
-    def _call(self, operation, *args, **kwargs):
+    def _call(self, operation, *args):
         """One breaker-guarded, retry-wrapped transport call.
 
         A ``KeyError`` miss counts as a *successful* round-trip (the
         backend answered); only connection-class failures feed the
         breaker.
         """
-        if self._op_clock is not None:
-            self._op_clock.tick()
+        self.ops += 1
         if not self.breaker.allow():
             raise CircuitOpenError(
                 f"remote store circuit is open after "
                 f"{self.breaker.consecutive_failures} consecutive "
                 f"transport failures")
-        kwargs.setdefault("timeout_s", self.op_timeout_s)
         try:
-            result = self.retry.call(lambda: operation(*args, **kwargs),
-                                     retry_on=is_retryable_error)
+            result = self.retry.call(
+                lambda: operation(*args, timeout_s=OP_TIMEOUT_S),
+                retry_on=is_retryable_error)
         except KeyError:
             self.breaker.record_success()
             raise
@@ -137,74 +106,29 @@ class RemoteStore:
         self.breaker.record_success()
         return result
 
-    @staticmethod
-    def _object_key(entry: ManifestEntry) -> str:
-        return f"objects/{entry.filename}"
+    # -- the byte-backend seam ----------------------------------------------------
 
-    @staticmethod
-    def _manifest_key(key: str) -> str:
-        return f"manifest/{key}.json"
-
-    # -- write --------------------------------------------------------------------
-
-    def put_object(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+    def write(self, entry: ManifestEntry, data: bytes) -> None:
         """Upload one artifact atomically: tmp → commit → manifest.
 
-        The replication primitive under ``put_json``/``put_arrays`` and
-        the tiered store's journal drain.  The digest is verified
-        before upload; content addressing makes replays idempotent, so
-        a drain that died after commit but before the manifest write
-        simply re-runs.
+        A drain that died after the commit but before the manifest write
+        simply re-runs: content addressing makes the replay idempotent.
         """
-        _check_key(entry.key)
-        if entry.digest is None:
-            entry = ManifestEntry(key=entry.key, kind=entry.kind,
-                                  filename=entry.filename,
-                                  meta=entry.meta, digest=_sha256(data))
-        elif _sha256(data) != entry.digest:
-            raise StoreIntegrityError(
-                f"refusing to upload artifact {entry.key!r}: payload bytes "
-                f"do not match the manifest digest")
         tmp_key = f"tmp/{entry.key}.{entry.digest[:12]}"
         self._call(self.transport.put, tmp_key, data)
-        self._call(self.transport.commit, tmp_key, self._object_key(entry))
-        manifest_bytes = json.dumps(entry.to_dict(), indent=2,
-                                    sort_keys=True).encode()
-        self._call(self.transport.put, self._manifest_key(entry.key),
-                   manifest_bytes)
-        return entry
+        self._call(self.transport.commit, tmp_key, f"objects/{entry.filename}")
+        self._call(self.transport.put, f"manifest/{entry.key}.json",
+                   entry.to_bytes())
 
-    def put_json(self, key: str, payload: Any, *, kind: str = "json",
-                 meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a JSON-serialisable payload under ``key``."""
-        _check_key(key)
-        data = encode_json_bytes(payload)
-        entry = ManifestEntry(key=key, kind=kind, filename=f"{key}.json",
-                              meta=dict(meta or {}), digest=_sha256(data))
-        return self.put_object(entry, data)
-
-    def put_arrays(self, key: str, arrays: Mapping[str, np.ndarray], *,
-                   kind: str = "arrays",
-                   meta: Optional[Mapping[str, Any]] = None) -> ManifestEntry:
-        """Store a named-array payload under ``key`` as compressed npz."""
-        _check_key(key)
-        data = encode_array_bytes(arrays)
-        entry = ManifestEntry(key=key, kind=kind, filename=f"{key}.npz",
-                              meta=dict(meta or {}), digest=_sha256(data))
-        return self.put_object(entry, data)
-
-    # -- read ---------------------------------------------------------------------
-
-    def entry(self, key: str) -> Optional[ManifestEntry]:
+    def read_entry(self, key: str) -> Optional[ManifestEntry]:
         """The manifest entry of ``key`` — ``None`` on a miss.
 
         Connection failures propagate (callers that degrade, like the
         tiered store, catch them); only a genuine remote miss or an
         unparseable manifest folds to ``None``.
         """
-        _check_key(key)
         try:
-            raw = self._call(self.transport.get, self._manifest_key(key))
+            raw = self._call(self.transport.get, f"manifest/{key}.json")
         except KeyError:
             return None
         try:
@@ -212,13 +136,15 @@ class RemoteStore:
         except (ValueError, KeyError):
             return None
 
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
+    def read_object(self, entry: ManifestEntry) -> bytes:
+        try:
+            return self._call(self.transport.get, f"objects/{entry.filename}")
+        except KeyError:
+            raise KeyError(
+                f"artifact {entry.key!r} has a remote manifest entry but no "
+                f"object blob; the key is a miss") from None
 
-    def has(self, key: str) -> bool:
-        return key in self
-
-    def _quarantine_object(self, entry: ManifestEntry) -> str:
+    def quarantine(self, entry: ManifestEntry) -> str:
         """Move a corrupt remote blob aside and drop its manifest entry."""
         destination = f"quarantine/{entry.filename}"
         taken = set(self._call(self.transport.list, "quarantine"))
@@ -227,137 +153,55 @@ class RemoteStore:
             suffix += 1
             destination = f"quarantine/{entry.filename}.{suffix}"
         try:
-            self._call(self.transport.commit, self._object_key(entry),
+            self._call(self.transport.commit, f"objects/{entry.filename}",
                        destination)
         except KeyError:
             pass
-        self._call(self.transport.delete, self._manifest_key(entry.key))
+        self._call(self.transport.delete, f"manifest/{entry.key}.json")
         return destination
 
-    def _verified_bytes(self, key: str) -> bytes:
-        entry = self.entry(key)
-        if entry is None:
-            raise KeyError(f"artifact {key!r} is not in the remote store")
-        try:
-            data = self._call(self.transport.get, self._object_key(entry))
-        except KeyError:
-            raise KeyError(
-                f"artifact {key!r} has a remote manifest entry but no "
-                f"object blob; the key is a miss") from None
-        if entry.digest is not None and _sha256(data) != entry.digest:
-            destination = self._quarantine_object(entry)
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} does not match its recorded "
-                f"SHA-256 digest (torn or corrupted transfer); the blob was "
-                f"quarantined to {destination} and the key is now a miss")
-        return data
-
-    def object_bytes(self, key: str) -> bytes:
-        """The verified raw payload bytes of ``key`` (for replication)."""
-        return self._verified_bytes(key)
-
-    def get_json(self, key: str) -> Any:
-        data = self._verified_bytes(key)
-        try:
-            return decode_json_bytes(data)
-        except ValueError as error:
-            entry = self.entry(key)
-            destination = (self._quarantine_object(entry)
-                           if entry is not None else "<gone>")
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} holds unparseable JSON ({error}); "
-                f"quarantined to {destination}") from error
-
-    def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
-        data = self._verified_bytes(key)
-        try:
-            return decode_array_bytes(data)
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as error:
-            entry = self.entry(key)
-            destination = (self._quarantine_object(entry)
-                           if entry is not None else "<gone>")
-            raise StoreIntegrityError(
-                f"remote artifact {key!r} holds an unreadable npz archive "
-                f"({error}); quarantined to {destination}") from error
-
-    def load_json(self, key: str) -> Optional[Any]:
-        """Read-through helper: payload, or ``None`` on miss/corruption.
-
-        Connection failures still propagate — "the remote is down" must
-        not masquerade as "the key is a miss" (that distinction is what
-        lets the tiered store degrade instead of recomputing the world).
-        """
-        try:
-            return self.get_json(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Read-through helper: arrays, or ``None`` on miss/corruption."""
-        try:
-            return self.get_arrays(key)
-        except (KeyError, StoreIntegrityError):
-            return None
-
-    # -- index / maintenance ------------------------------------------------------
-
-    def keys(self) -> Iterator[str]:
+    def keys(self) -> List[str]:
         """Keys with a remote manifest entry, sorted."""
-        for transport_key in self._call(self.transport.list, "manifest"):
-            name = transport_key.split("/", 1)[1]
-            if name.endswith(".json"):
-                yield name[:-len(".json")]
+        names = (transport_key.split("/", 1)[1] for transport_key
+                 in self._call(self.transport.list, "manifest"))
+        return [name[:-len(".json")] for name in names
+                if name.endswith(".json")]
 
-    def index(self) -> Dict[str, ManifestEntry]:
-        entries = {}
-        for key in list(self.keys()):
-            entry = self.entry(key)
-            if entry is not None:
-                entries[key] = entry
-        return entries
-
-    def discard(self, key: str) -> bool:
-        """Remove ``key`` from the remote (manifest first, then blob)."""
-        _check_key(key)
-        entry = self.entry(key)
-        self._call(self.transport.delete, self._manifest_key(key))
-        for filename in ({entry.filename} if entry is not None
-                         else {f"{key}.json", f"{key}.npz"}):
+    def remove(self, key: str, entry: Optional[ManifestEntry]) -> bool:
+        """Delete the manifest entry, then the blob(s); True on a hit."""
+        self._call(self.transport.delete, f"manifest/{key}.json")
+        for filename in ((entry.filename,) if entry is not None
+                         else (f"{key}.json", f"{key}.npz")):
             self._call(self.transport.delete, f"objects/{filename}")
         return entry is not None
 
-    def sweep_tmp(self) -> List[str]:
-        """Delete leftover ``tmp/`` blobs from interrupted uploads."""
-        removed = []
-        for transport_key in self._call(self.transport.list, "tmp"):
-            self._call(self.transport.delete, transport_key)
-            removed.append(transport_key)
-        return removed
 
-    # -- engine-facing no-ops -----------------------------------------------------
+class RemoteStore(VerifiedStore):
+    """The verified-object core over a blob transport.
 
-    @property
-    def root(self) -> str:
-        """A display name (transports have no local root path)."""
-        config = self.transport.spawn_config()
-        return str(config.get("root", config.get("kind", "remote")))
+    ``transport`` is any :class:`~repro.store.transport.Transport`; a
+    path is shorthand for a directory-backed loopback transport.
+    ``retry`` replaces the default transport retry policy (tests pass a
+    zero-sleep one).  ``breaker`` and ``transport`` are reached through
+    the store.
+    """
 
-    def acquire_lease(self, owner: str = "") -> None:
-        """Leases are a local-filesystem concept; no-op on a remote."""
-        return None
+    def __init__(self, transport: Union[Transport, str, Path], *,
+                 retry: Optional[RetryPolicy] = None):
+        if not isinstance(transport, Transport):
+            transport = LoopbackTransport(transport)
+        super().__init__(TransportBackend(
+            transport, retry if retry is not None
+            else RetryPolicy(token="remote-store")))
 
-    def release_lease(self) -> None:
-        return None
+    # Bound in this body, not inherited: the benchmark tracer wraps the
+    # entry points each store class defines itself.
+    put_json = VerifiedStore.put_json
+    put_arrays = VerifiedStore.put_arrays
+    get_arrays = VerifiedStore.get_arrays
+    load_json = VerifiedStore.load_json
+    load_arrays = VerifiedStore.load_arrays
 
-    def spawn_config(self) -> Dict[str, Any]:
-        """A picklable description a worker process can rebuild from."""
-        return {"kind": "remote",
-                "transport": self.transport.spawn_config(),
-                "op_timeout_s": self.op_timeout_s}
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (f"RemoteStore({self.root!r}, "
-                f"breaker={self.breaker.state})")
+    def spawn_config(self) -> "RemoteStore":
+        """A fresh store (closed breaker, fresh transport) for a worker."""
+        return RemoteStore(self.transport.spawn_config(), retry=self.retry)

@@ -22,10 +22,11 @@ local :class:`~repro.store.artifact_store.ArtifactStore` first, and the
   journal re-runs harmlessly, and two hosts draining overlapping
   journals converge on identical remote state.
 
-The journal is a JSON-lines file under the *local* store root
-(``pending_uploads.jsonl``), append-only on the hot path (single
-``O_APPEND`` writes are atomic for these line sizes) and compacted
-under the local store's file lock during :meth:`TieredStore.sync`.
+The journal is a JSON-lines file of manifest entries under the *local*
+store root (``pending_uploads.jsonl``), append-only on the hot path
+(single ``O_APPEND`` writes are atomic for these line sizes, taken under
+the shared side of the journal lock) and compacted under its exclusive
+side at the end of :meth:`TieredStore.sync`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Union)
 
 import numpy as np
 
-from .artifact_store import ArtifactStore, ManifestEntry
+from .artifact_store import ArtifactStore
+from .core import ManifestEntry, StoreIntegrityError
 from .locks import FileLock
 from .remote import RemoteStore
 
@@ -52,8 +55,8 @@ JOURNAL_FILENAME = "pending_uploads.jsonl"
 class PendingUploadJournal:
     """Crash-safe record of writes that could not reach the remote.
 
-    One JSON line per journaled key, append-only while degraded;
-    compaction (dedup + drop-drained) happens under a file lock inside
+    One :meth:`ManifestEntry.to_dict` JSON line per journaled key,
+    append-only while degraded; :meth:`settle` compacts it inside
     :meth:`TieredStore.sync`.  Losing the journal is safe — content
     addressing means a full local→remote reconciliation can always
     rebuild it — but keeping it makes ``store sync`` O(pending) instead
@@ -67,20 +70,18 @@ class PendingUploadJournal:
         return FileLock(self.path.with_suffix(".lock"))
 
     def append(self, entry: ManifestEntry) -> None:
-        line = json.dumps({"key": entry.key, "kind": entry.kind,
-                           "filename": entry.filename,
-                           "digest": entry.digest,
-                           "meta": dict(entry.meta)},
-                          sort_keys=True) + "\n"
+        line = json.dumps(entry.to_dict(), sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # A single O_APPEND write of a short line is atomic on POSIX —
-        # concurrent degraded writers interleave whole lines.
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        # concurrent degraded writers interleave whole lines; the shared
+        # lock only keeps them out of a compaction.
+        with self._lock().holding(shared=True, timeout_s=10.0):
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                         0o644)
+            try:
+                os.write(fd, line.encode())
+            finally:
+                os.close(fd)
 
     def pending(self) -> List[ManifestEntry]:
         """Journaled entries, deduplicated by key (last line wins)."""
@@ -88,15 +89,8 @@ class PendingUploadJournal:
             return []
         by_key: Dict[str, ManifestEntry] = {}
         for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
             try:
-                raw = json.loads(line)
-                entry = ManifestEntry(key=raw["key"], kind=raw["kind"],
-                                      filename=raw["filename"],
-                                      meta=dict(raw.get("meta", {})),
-                                      digest=raw.get("digest"))
+                entry = ManifestEntry.from_dict(json.loads(line))
             except (ValueError, KeyError, TypeError):
                 # A torn trailing line (crash mid-append) is dropped;
                 # the artifact itself is safe in the local store and a
@@ -105,22 +99,27 @@ class PendingUploadJournal:
             by_key[entry.key] = entry
         return list(by_key.values())
 
-    def rewrite(self, entries: List[ManifestEntry]) -> None:
-        """Replace the journal contents (compaction; lock held)."""
+    def settle(self, drained: Iterable[ManifestEntry]) -> None:
+        """Drop the entries a drain settled, matched by key and digest.
+
+        The journal is re-read under its exclusive lock, so a line a
+        degraded writer appended while the drain was uploading survives
+        for the next sync.
+        """
+        settled = {(entry.key, entry.digest) for entry in drained}
         with self._lock().holding(shared=False, timeout_s=10.0):
-            if not entries:
-                try:
-                    self.path.unlink()
-                except FileNotFoundError:
-                    pass
-                return
-            lines = [json.dumps({"key": e.key, "kind": e.kind,
-                                 "filename": e.filename, "digest": e.digest,
-                                 "meta": dict(e.meta)}, sort_keys=True)
-                     for e in entries]
-            tmp = self.path.with_suffix(".tmp")
-            tmp.write_text("\n".join(lines) + "\n")
-            os.replace(tmp, self.path)
+            self.rewrite([entry for entry in self.pending()
+                          if (entry.key, entry.digest) not in settled])
+
+    def rewrite(self, entries: List[ManifestEntry]) -> None:
+        """Replace the journal contents (callers hold the journal lock)."""
+        if not entries:
+            self.path.unlink(missing_ok=True)
+            return
+        tmp = self.path.with_suffix(".tmp")
+        tmp.write_text("".join(json.dumps(entry.to_dict(), sort_keys=True)
+                               + "\n" for entry in entries))
+        os.replace(tmp, self.path)
 
     def __len__(self) -> int:
         return len(self.pending())
@@ -129,21 +128,18 @@ class PendingUploadJournal:
 class TieredStore:
     """Write-through local + remote store with graceful degradation.
 
-    Exposes the full engine-facing store surface (``put_*``/``load_*``/
-    ``get_*``/``entry``/``keys``/leases/``root``) so
+    Declares the full :class:`~repro.store.core.Store` surface, so
     ``CampaignEngine(store=...)`` and the supervisor accept it
     unchanged.  ``degraded_writes``/``remote_hits``/``backfills`` count
     what the tiers actually did, for tests and operators.
     """
 
     def __init__(self, local: Union[ArtifactStore, str, Path],
-                 remote: Union[RemoteStore, str, Dict[str, Any]], *,
-                 read_through: bool = True):
+                 remote: Union[RemoteStore, str, Path]):
         self.local = (local if isinstance(local, ArtifactStore)
                       else ArtifactStore(local))
         self.remote = (remote if isinstance(remote, RemoteStore)
                        else RemoteStore(remote))
-        self.read_through = bool(read_through)
         self.journal = PendingUploadJournal(
             self.local.root / JOURNAL_FILENAME)
         self.degraded_writes = 0
@@ -157,15 +153,16 @@ class TieredStore:
         """The local tier's root (campaign CSV/JSON outputs live here)."""
         return self.local.root
 
-    @property
-    def retry(self):
-        return self.local.retry
-
     def acquire_lease(self, owner: str = ""):
         return self.local.acquire_lease(owner)
 
     def release_lease(self) -> None:
         self.local.release_lease()
+
+    def spawn_config(self) -> "TieredStore":
+        """Fresh tiers of the same configuration, for a worker process."""
+        return TieredStore(self.local.spawn_config(),
+                           self.remote.spawn_config())
 
     # -- write --------------------------------------------------------------------
 
@@ -197,21 +194,18 @@ class TieredStore:
         """Copy a remote hit into the local tier; ``None`` on any miss.
 
         An unreachable remote (connection/timeout/open breaker) is a
-        clean miss — recomputing is always correct, waiting is not.
+        clean miss — recomputing is always correct, waiting is not — and
+        so is a corrupt remote object, which the remote quarantined.
         """
-        if not self.read_through:
-            return None
         try:
             entry = self.remote.entry(key)
             if entry is None:
                 return None
             data = self.remote.object_bytes(key)
-        except REMOTE_UNAVAILABLE:
-            return None
-        except KeyError:
+        except (*REMOTE_UNAVAILABLE, KeyError, StoreIntegrityError):
             return None
         self.remote_hits += 1
-        installed = self.local.put_verbatim(entry, data)
+        installed = self.local.put_object(entry, data)
         self.backfills += 1
         return installed
 
@@ -227,34 +221,25 @@ class TieredStore:
     def has(self, key: str) -> bool:
         return key in self
 
+    def _load(self, key: str, load) -> Any:
+        value = load(key)
+        if value is None and self._backfill(key) is not None:
+            value = load(key)
+        return value
+
     def load_json(self, key: str) -> Optional[Any]:
-        payload = self.local.load_json(key)
-        if payload is not None:
-            return payload
-        if self._backfill(key) is None:
-            return None
-        return self.local.load_json(key)
+        return self._load(key, self.local.load_json)
 
     def load_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        arrays = self.local.load_arrays(key)
-        if arrays is not None:
-            return arrays
-        if self._backfill(key) is None:
-            return None
-        return self.local.load_arrays(key)
+        return self._load(key, self.local.load_arrays)
 
     def get_json(self, key: str) -> Any:
-        payload = self.load_json(key)
-        if payload is None:
-            # Re-raise with the local store's miss/corruption semantics.
-            return self.local.get_json(key)
-        return payload
+        self.entry(key)  # a local miss backfills a remote hit
+        return self.local.get_json(key)
 
     def get_arrays(self, key: str) -> Dict[str, np.ndarray]:
-        arrays = self.load_arrays(key)
-        if arrays is None:
-            return self.local.get_arrays(key)
-        return arrays
+        self.entry(key)
+        return self.local.get_arrays(key)
 
     # -- index --------------------------------------------------------------------
 
@@ -270,23 +255,32 @@ class TieredStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
+    def discard(self, key: str) -> bool:
+        """Remove ``key`` from both tiers (the remote when reachable)."""
+        removed = self.local.discard(key)
+        try:
+            removed = self.remote.discard(key) or removed
+        except REMOTE_UNAVAILABLE:
+            pass
+        return removed
+
     # -- degraded-mode drain ------------------------------------------------------
 
     def pending_uploads(self) -> List[ManifestEntry]:
         return self.journal.pending()
 
-    def sync(self, *, reset_breaker: bool = True) -> Dict[str, Any]:
+    def sync(self) -> Dict[str, Any]:
         """Drain the pending-upload journal to the remote, idempotently.
 
-        Per journaled key: skip when the remote already holds the same
-        digest (another host drained it, or the pre-partition upload
-        actually landed), upload otherwise, keep in the journal on
-        continued unreachability.  Returns per-category counts; rc-style
-        success is ``remaining == 0``.
+        The breaker is reset first.  Per journaled key: skip when the
+        remote already holds the same digest (another host drained it,
+        or the pre-partition upload actually landed), upload otherwise,
+        keep in the journal on continued unreachability.  Returns
+        per-category counts; rc-style success is ``remaining == 0``.
         """
-        if reset_breaker:
-            self.remote.breaker.reset()
+        self.remote.breaker.reset()
         uploaded, skipped, missing, remaining = [], [], [], []
+        settled: List[ManifestEntry] = []
         for entry in self.journal.pending():
             try:
                 remote_entry = self.remote.entry(entry.key)
@@ -294,65 +288,25 @@ class TieredStore:
                         and remote_entry.digest == entry.digest
                         and entry.digest is not None):
                     skipped.append(entry.key)
-                    continue
-                try:
-                    data = self.local.object_bytes(entry.key)
-                except KeyError:
-                    # Journaled but gone locally (gc'd/discarded):
-                    # nothing to upload, nothing lost — drop it.
-                    missing.append(entry.key)
-                    continue
-                self.remote.put_object(entry, data)
-                uploaded.append(entry.key)
+                else:
+                    try:
+                        data = self.local.object_bytes(entry.key)
+                    except KeyError:
+                        # Journaled but gone locally (gc'd/discarded):
+                        # nothing to upload, nothing lost — drop it.
+                        missing.append(entry.key)
+                    else:
+                        self.remote.put_object(entry, data)
+                        uploaded.append(entry.key)
             except REMOTE_UNAVAILABLE:
-                remaining.append(entry)
-        self.journal.rewrite(remaining)
+                remaining.append(entry.key)
+            else:
+                settled.append(entry)
+        self.journal.settle(settled)
         return {"uploaded": uploaded, "skipped": skipped,
-                "missing_local": missing,
-                "remaining": [entry.key for entry in remaining]}
-
-    # -- spawning -----------------------------------------------------------------
-
-    def spawn_config(self) -> Dict[str, Any]:
-        """A picklable description a worker process can rebuild from."""
-        return {"kind": "tiered",
-                "local": self.local.spawn_config(),
-                "remote": self.remote.spawn_config(),
-                "read_through": self.read_through}
+                "missing_local": missing, "remaining": remaining}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (f"TieredStore(local={str(self.local.root)!r}, "
                 f"remote={self.remote.root!r}, "
                 f"pending={len(self.journal)})")
-
-
-def build_store(config: Union[None, str, Path, Mapping[str, Any],
-                              ArtifactStore, RemoteStore, TieredStore]):
-    """Build any store flavour from a picklable config.
-
-    The inverse of every store's ``spawn_config()`` — the campaign
-    supervisor ships these dicts to worker processes instead of live
-    store objects.  Strings/paths mean a plain local store; ``None``
-    passes through (store-less engines); live stores pass through
-    unchanged.
-    """
-    if config is None or isinstance(config, (ArtifactStore, RemoteStore,
-                                             TieredStore)):
-        return config
-    if isinstance(config, (str, Path)):
-        return ArtifactStore(config)
-    kind = config.get("kind")
-    if kind == "local":
-        return ArtifactStore(str(config["root"]),
-                             locking=bool(config.get("locking", True)))
-    if kind == "remote":
-        return RemoteStore(dict(config["transport"]),
-                           op_timeout_s=float(
-                               config.get("op_timeout_s", 30.0)))
-    if kind == "tiered":
-        local = build_store(dict(config["local"]))
-        remote = build_store(dict(config["remote"]))
-        return TieredStore(local, remote,
-                           read_through=bool(config.get("read_through",
-                                                        True)))
-    raise ValueError(f"unknown store config {config!r}")

@@ -7,51 +7,20 @@ semantics (upload to a tmp key, then commit) on any backend.  Keys are
 slash-separated paths (``objects/<sha>.json``); payloads are bytes;
 misses raise :class:`KeyError`; ``delete`` is idempotent.
 
-Two implementations ship here:
-
-* :class:`LoopbackTransport` — a directory on the local filesystem, so
-  the whole remote-store stack is testable hermetically and a shared
-  NFS/SMB mount works as a real deployment target out of the box;
-* :class:`FlakyTransport` — a decorator that injects *seeded,
-  scripted* faults from a :class:`~repro.testing.faults.FaultSchedule`:
-  connection errors, timeouts, latency, truncated payloads and corrupt
-  bytes, each at an exact operation ordinal.  Every chaos test in
-  ``tests/`` drives the remote store through this decorator; equal
-  schedules replay equal fault sequences, so there is no wall-clock or
-  RNG nondeterminism anywhere in the failure paths.
-
-Fault kinds (``FaultKind`` constants of this module, distinct from the
-campaign-level :class:`repro.testing.chaos.FaultKind` vocabulary):
-
-``connect``
-    the operation raises :class:`TransportConnectionError`
-    (a ``ConnectionResetError``) before touching the backend;
-``timeout``
-    the operation raises :class:`TransportTimeout` (a
-    ``TimeoutError``) before touching the backend;
-``latency``
-    the operation sleeps a tiny deterministic delay, then succeeds —
-    for exercising timeout budgets without failing;
-``truncate``
-    a ``get`` returns the first half of the payload, a ``put`` stores
-    only the first half — the digest-verified read path must catch it;
-``corrupt``
-    one seeded byte of the payload is flipped in flight.
+:class:`LoopbackTransport` — a directory on the local filesystem —
+ships here, so the whole remote-store stack is testable hermetically and
+a shared NFS/SMB mount works as a real deployment target out of the
+box.  Fault injection is a transport *decorator* that lives with the
+test harness (:class:`repro.testing.FlakyTransport`).
 """
 
 from __future__ import annotations
 
 import os
-import random
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from ..testing.faults import FaultClock, FaultSchedule, FaultWindow
-
-
-class TransportError(ConnectionError):
-    """Base class for transport-level failures (a ``ConnectionError``)."""
+from .artifact_store import _atomic_write_bytes
 
 
 class TransportConnectionError(ConnectionResetError):
@@ -60,18 +29,6 @@ class TransportConnectionError(ConnectionResetError):
 
 class TransportTimeout(TimeoutError):
     """The operation exceeded its time budget (injected or real)."""
-
-
-class TransportFaultKind:
-    """The fault vocabulary of :class:`FlakyTransport`."""
-
-    CONNECT = "connect"
-    TIMEOUT = "timeout"
-    LATENCY = "latency"
-    TRUNCATE = "truncate"
-    CORRUPT = "corrupt"
-
-    ALL = (CONNECT, TIMEOUT, LATENCY, TRUNCATE, CORRUPT)
 
 
 class Transport:
@@ -109,8 +66,9 @@ class Transport:
         of an upload-then-commit atomic put)."""
         raise NotImplementedError
 
-    def spawn_config(self) -> Dict[str, object]:
-        """A picklable description a worker process can rebuild from."""
+    def spawn_config(self) -> "Transport":
+        """A fresh transport of the same configuration, for a worker
+        process (no inherited state such as a fault clock)."""
         raise NotImplementedError
 
 
@@ -152,17 +110,7 @@ class LoopbackTransport(Transport):
             timeout_s: Optional[float] = None) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tx-{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        _atomic_write_bytes(path, data)
 
     def list(self, prefix: str = "", *,
              timeout_s: Optional[float] = None) -> List[str]:
@@ -190,142 +138,5 @@ class LoopbackTransport(Transport):
         dst.parent.mkdir(parents=True, exist_ok=True)
         os.replace(src, dst)
 
-    def spawn_config(self) -> Dict[str, object]:
-        return {"kind": "loopback", "root": str(self.root)}
-
-
-class FlakyTransport(Transport):
-    """Deterministic fault injection around any :class:`Transport`.
-
-    One :class:`~repro.testing.faults.FaultClock` counts *every*
-    operation (get/put/list/delete/commit) in call order; the
-    schedule's ordinals index that stream.  ``ops`` exposes the cursor
-    so tests can assert exactly where faults landed, and
-    ``fault_counts`` tallies what fired.
-    """
-
-    def __init__(self, inner: Transport, schedule: FaultSchedule, *,
-                 latency_s: float = 0.002):
-        self.inner = inner
-        self.schedule = schedule
-        self.latency_s = latency_s
-        self._clock = FaultClock(schedule)
-        self.fault_counts: Dict[str, int] = {}
-
-    @property
-    def ops(self) -> int:
-        """Operations attempted so far (faulted ones included)."""
-        return self._clock.ordinal
-
-    def _tick(self, op: str) -> Optional[str]:
-        fault = self._clock.next_fault(op)
-        if fault is None:
-            return None
-        self.fault_counts[fault] = self.fault_counts.get(fault, 0) + 1
-        if fault == TransportFaultKind.CONNECT:
-            raise TransportConnectionError(
-                f"injected connection fault at op {self._clock.ordinal - 1} "
-                f"({op})")
-        if fault == TransportFaultKind.TIMEOUT:
-            raise TransportTimeout(
-                f"injected timeout at op {self._clock.ordinal - 1} ({op})")
-        if fault == TransportFaultKind.LATENCY:
-            time.sleep(self.latency_s)
-            return None
-        if fault in (TransportFaultKind.TRUNCATE, TransportFaultKind.CORRUPT):
-            return fault
-        raise ValueError(f"unknown transport fault kind {fault!r}")
-
-    @staticmethod
-    def _mangle(data: bytes, fault: Optional[str], seed_token: str) -> bytes:
-        if fault == TransportFaultKind.TRUNCATE:
-            return data[:len(data) // 2]
-        if fault == TransportFaultKind.CORRUPT:
-            if not data:
-                return data
-            # Deterministic single-byte flip: position and mask come
-            # from the token, not from shared RNG state.
-            rng = random.Random(seed_token)
-            pos = rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[pos] ^= 1 + rng.randrange(255)
-            return bytes(mangled)
-        return data
-
-    def get(self, key: str, *, timeout_s: Optional[float] = None) -> bytes:
-        fault = self._tick("get")
-        data = self.inner.get(key, timeout_s=timeout_s)
-        return self._mangle(data, fault,
-                            f"{self.schedule.seed}:get:{key}")
-
-    def put(self, key: str, data: bytes, *,
-            timeout_s: Optional[float] = None) -> None:
-        fault = self._tick("put")
-        data = self._mangle(data, fault,
-                            f"{self.schedule.seed}:put:{key}")
-        self.inner.put(key, data, timeout_s=timeout_s)
-
-    def list(self, prefix: str = "", *,
-             timeout_s: Optional[float] = None) -> List[str]:
-        self._tick("list")
-        return self.inner.list(prefix, timeout_s=timeout_s)
-
-    def delete(self, key: str, *,
-               timeout_s: Optional[float] = None) -> None:
-        self._tick("delete")
-        self.inner.delete(key, timeout_s=timeout_s)
-
-    def commit(self, src_key: str, dst_key: str, *,
-               timeout_s: Optional[float] = None) -> None:
-        self._tick("commit")
-        self.inner.commit(src_key, dst_key, timeout_s=timeout_s)
-
-    def spawn_config(self) -> Dict[str, object]:
-        return {
-            "kind": "flaky",
-            "inner": self.inner.spawn_config(),
-            "schedule": {
-                "at": list(list(pair) for pair in self.schedule.at),
-                "windows": [
-                    {"start": w.start, "stop": w.stop,
-                     "kind": w.kind, "op": w.op}
-                    for w in self.schedule.windows
-                ],
-                "rates": list(list(pair) for pair in self.schedule.rates),
-                "seed": self.schedule.seed,
-            },
-            "latency_s": self.latency_s,
-        }
-
-
-def build_transport(config: Union[Transport, Dict[str, object], str,
-                                  Path]) -> Transport:
-    """Rebuild a transport from a :meth:`Transport.spawn_config` dict.
-
-    Strings/paths are shorthand for a loopback directory; transports
-    pass through unchanged.
-    """
-    if isinstance(config, Transport):
-        return config
-    if isinstance(config, (str, Path)):
-        return LoopbackTransport(config)
-    kind = config.get("kind")
-    if kind == "loopback":
-        return LoopbackTransport(str(config["root"]))
-    if kind == "flaky":
-        raw = dict(config.get("schedule") or {})
-        schedule = FaultSchedule(
-            at=tuple((int(o), str(k)) for o, k in raw.get("at", ())),
-            windows=tuple(
-                FaultWindow(start=int(w["start"]), stop=int(w["stop"]),
-                            kind=str(w["kind"]), op=w.get("op"))
-                for w in raw.get("windows", ())),
-            rates=tuple((str(k), float(r)) for k, r in raw.get("rates", ())),
-            seed=int(raw.get("seed", 0)),
-        )
-        return FlakyTransport(
-            build_transport(dict(config["inner"])),  # type: ignore[arg-type]
-            schedule,
-            latency_s=float(config.get("latency_s", 0.002)),
-        )
-    raise ValueError(f"unknown transport config {config!r}")
+    def spawn_config(self) -> "LoopbackTransport":
+        return LoopbackTransport(self.root)

@@ -2,16 +2,19 @@
 
 The paper injects faults into hardware to characterise trojans; this
 package injects faults into the *campaign runner* to characterise its
-fault tolerance — same methodology, pointed inward.
+fault tolerance — same methodology, pointed inward.  Its faults are
+decorators of the stores' byte backends (:class:`FlakyTransport`,
+:class:`FaultHookDirectory`), so no production module imports it.
 """
 
 from .chaos import (
-    ChaosStore,
-    FaultHookStore,
+    FaultHookDirectory,
     FaultInjection,
     FaultKind,
     FaultPlan,
+    FlakyTransport,
     SyncFlag,
+    TransportFaultKind,
     WindowFaultStore,
 )
 from .faults import (
@@ -22,15 +25,16 @@ from .faults import (
 )
 
 __all__ = [
-    "ChaosStore",
     "FaultClock",
-    "FaultHookStore",
+    "FaultHookDirectory",
     "FaultInjection",
     "FaultKind",
     "FaultPlan",
     "FaultSchedule",
     "FaultWindow",
+    "FlakyTransport",
     "OneShotTrigger",
     "SyncFlag",
+    "TransportFaultKind",
     "WindowFaultStore",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic chaos harness for campaign fault-tolerance tests.
+"""Deterministic chaos harness for campaign and store fault tolerance.
 
 A :class:`FaultPlan` scripts infrastructure faults at exact
 ``(cell_index, attempt)`` coordinates of a supervised campaign run
@@ -9,10 +9,10 @@ A :class:`FaultPlan` scripts infrastructure faults at exact
   extension;
 * ``hang``      — the worker sleeps past any sane cell timeout, standing
   in for a deadlocked kernel call;
-* ``truncate``  — the worker completes the cell, writes its completion
-  record, *tears the object file in half after the manifest entry is
-  recorded* (the worst torn-write ordering: the store claims a hit whose
-  payload is garbage), then dies — exercising the store's read-time
+* ``truncate``  — the worker's next store write completes, then *the
+  object file is torn in half after the manifest entry is recorded*
+  (the worst torn-write ordering: the store claims a hit whose payload
+  is garbage) and the worker dies — exercising the store's read-time
   digest verification and quarantine path;
 * ``interrupt`` — the *supervisor* initiates its SIGINT drain the moment
   the coordinate starts executing, standing in for an operator ^C, so
@@ -21,10 +21,16 @@ A :class:`FaultPlan` scripts infrastructure faults at exact
 Coordinates are attempt-aware: attempt numbers start at 1, so a plan
 injecting ``(cell 3, attempt 1)`` makes the first try fail and lets the
 retry succeed.  The plan is a frozen, picklable value object — it
-travels to worker processes with the engine payload, every run of the
-same plan injects the same faults, and a chaos run's final merged rows
-are required (by the acceptance tests) to be bit-identical to a clean
-serial run of the same spec.
+travels to worker processes with the engine payload (which apply it
+through :meth:`FaultPlan.worker_store` and :meth:`FaultPlan.begin_cell`),
+every run of the same plan injects the same faults, and a chaos run's
+final merged rows are required (by the acceptance tests) to be
+bit-identical to a clean serial run of the same spec.
+
+Store faults are backend decorators: :class:`FlakyTransport` injects a
+seeded :class:`~repro.testing.faults.FaultSchedule` into any transport,
+and :class:`FaultHookDirectory` runs scripted hooks inside a store
+directory's write path (the plan's torn writes, :func:`WindowFaultStore`).
 
 **Multi-process fault plans** extend the vocabulary to races *between*
 processes sharing one store directory:
@@ -32,7 +38,7 @@ processes sharing one store directory:
 * :class:`SyncFlag` — a file-based event for deterministic cross-process
   sequencing (no inherited ``multiprocessing`` primitives needed, so it
   works between arbitrary spawned/forked/exec'd processes);
-* :class:`WindowFaultStore` — an :class:`ArtifactStore` that *stops
+* :func:`WindowFaultStore` — an :class:`ArtifactStore` that *stops
   inside the object→manifest window* of a ``put_*``: it raises a
   :class:`SyncFlag` the moment the object file exists without its
   manifest entry, then either waits for a proceed flag (letting the test
@@ -51,13 +57,20 @@ N-shard-processes-vs-maintenance-loop acceptance test.
 from __future__ import annotations
 
 import os
+import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..store.artifact_store import ArtifactStore, ManifestEntry
-from .faults import OneShotTrigger
+from ..store.artifact_store import ArtifactStore, DirectoryBackend
+from ..store.core import ManifestEntry
+from ..store.transport import (
+    Transport,
+    TransportConnectionError,
+    TransportTimeout,
+)
+from .faults import FaultClock, FaultSchedule, OneShotTrigger
 
 
 class FaultKind:
@@ -133,87 +146,74 @@ class FaultPlan:
         injection = self.lookup(cell_index, attempt)
         return injection is not None and injection.kind == FaultKind.INTERRUPT
 
-    def execute_worker_fault(self, injection: FaultInjection) -> None:
-        """Carry out a pre-execution worker fault (crash or hang).
+    def worker_store(self, store: Any) -> Any:
+        """The store a supervised worker runs this plan's cells against.
 
-        Truncation is a *post*-write fault and is carried out by
-        :class:`ChaosStore` instead.
+        A plain local store is rebuilt over a :class:`FaultHookDirectory`
+        so ``truncate`` faults can tear its writes; remote and tiered
+        stores take their faults at the transport layer
+        (:class:`FlakyTransport`) and pass through unchanged.
         """
-        if injection.kind == FaultKind.CRASH:
+        if type(store) is not ArtifactStore:
+            return store
+        return ArtifactStore(FaultHookDirectory(store.root))
+
+    def begin_cell(self, store: Any, cell_index: int, attempt: int) -> None:
+        """Carry out the worker-side fault of one coordinate.
+
+        Called right before the cell executes: a crash exits the
+        process, a hang sleeps into the supervisor's timeout kill, and a
+        truncation arms ``store``'s write hook so the next completed
+        write is torn.
+        """
+        injection = self.worker_fault(cell_index, attempt)
+        kind = injection.kind if injection is not None else None
+        backend = getattr(store, "backend", None)
+        if isinstance(backend, FaultHookDirectory):
+            backend.after_write = (self._tear if kind == FaultKind.TRUNCATE
+                                   else None)
+        if kind == FaultKind.CRASH:
             # os._exit skips every atexit/finally handler — the closest
             # a test can get to a SIGKILL'd or OOM-killed worker.
             os._exit(self.crash_exit_code)
-        elif injection.kind == FaultKind.HANG:
+        elif kind == FaultKind.HANG:
             time.sleep(self.hang_seconds)
 
-
-class FaultHookStore(ArtifactStore):
-    """The shared hook dispatch of every fault-injecting store.
-
-    ``ChaosStore`` and ``WindowFaultStore`` used to each re-override the
-    write path with their own plumbing; this base funnels both seams
-    through one dispatcher so subclasses only state *what* their fault
-    does, not where to splice it in:
-
-    * :meth:`_pre_record_hook` fires inside the object→manifest window
-      (object bytes on disk, manifest entry not yet recorded);
-    * :meth:`_post_put_hook` fires after a ``put_*`` fully completed
-      (manifest entry recorded, digest verified state reachable).
-    """
-
-    def _pre_record_hook(self, key: str) -> None:
-        """Called with the crash-consistency window open."""
-
-    def _post_put_hook(self, entry: ManifestEntry) -> None:
-        """Called after a completed ``put_json``/``put_arrays``."""
-
-    def _record(self, key, kind, object_path, meta, digest) -> ManifestEntry:
-        self._pre_record_hook(key)
-        return super()._record(key, kind, object_path, meta, digest)
-
-    def put_json(self, key, payload, **kwargs) -> ManifestEntry:
-        entry = super().put_json(key, payload, **kwargs)
-        self._post_put_hook(entry)
-        return entry
-
-    def put_arrays(self, key, arrays, **kwargs) -> ManifestEntry:
-        entry = super().put_arrays(key, arrays, **kwargs)
-        self._post_put_hook(entry)
-        return entry
-
-
-class ChaosStore(FaultHookStore):
-    """An :class:`ArtifactStore` that tears its own writes on cue.
-
-    When :meth:`arm`-ed on a coordinate carrying a ``truncate`` fault,
-    the *next* write completes normally — manifest entry, digest and
-    all — then the object file is truncated to half its size and the
-    process dies.  The manifest now advertises a hit whose payload
-    cannot match the recorded digest: exactly the torn-write state an
-    unsynced filesystem can leave behind after a power cut.
-    """
-
-    def __init__(self, root, plan: FaultPlan):
-        super().__init__(root)
-        self.plan = plan
-        self._armed: Optional[FaultInjection] = None
-
-    def arm(self, cell_index: int, attempt: int) -> None:
-        """Point the store at the coordinate about to execute."""
-        injection = self.plan.lookup(cell_index, attempt)
-        if injection is not None and injection.kind == FaultKind.TRUNCATE:
-            self._armed = injection
-        else:
-            self._armed = None
-
-    def _post_put_hook(self, entry: ManifestEntry) -> None:
-        if self._armed is None:
-            return
-        object_path = self.objects_dir / entry.filename
+    def _tear(self, directory: DirectoryBackend, entry: ManifestEntry) -> None:
+        """Halve a just-recorded object, then die: an unsynced-filesystem
+        torn write whose manifest still advertises a hit."""
+        object_path = directory.objects_dir / entry.filename
         data = object_path.read_bytes()
         with open(object_path, "wb") as handle:
             handle.write(data[:max(1, len(data) // 2)])
-        os._exit(self.plan.truncate_exit_code)
+        os._exit(self.truncate_exit_code)
+
+
+class FaultHookDirectory(DirectoryBackend):
+    """A store directory that runs scripted faults inside its write path.
+
+    * ``before_record(key)`` fires inside the object→manifest window
+      (object bytes on disk, manifest entry not yet recorded);
+    * ``after_write(directory, entry)`` fires once a write completed.
+    """
+
+    def __init__(self, root: Union[str, Path], *,
+                 before_record: Optional[Callable[[str], None]] = None,
+                 after_write: Optional[Callable[..., None]] = None,
+                 **directory_kwargs: Any):
+        super().__init__(root, **directory_kwargs)
+        self.before_record = before_record
+        self.after_write = after_write
+
+    def _record(self, entry: ManifestEntry) -> None:
+        if self.before_record is not None:
+            self.before_record(entry.key)
+        super()._record(entry)
+
+    def write(self, entry: ManifestEntry, data: bytes) -> None:
+        super().write(entry, data)
+        if self.after_write is not None:
+            self.after_write(self, entry)
 
 
 class SyncFlag:
@@ -253,7 +253,14 @@ class SyncFlag:
         return self.is_set()
 
 
-class WindowFaultStore(FaultHookStore):
+def WindowFaultStore(root: Union[str, Path], *,
+                     window_flag: Union[str, Path],
+                     proceed_flag: Optional[Union[str, Path]] = None,
+                     kill_in_window: bool = False,
+                     skip_writes: int = 0,
+                     exit_code: int = 175,
+                     wait_timeout_s: float = 30.0,
+                     **directory_kwargs: Any) -> ArtifactStore:
     """An :class:`ArtifactStore` that stops inside the object→manifest
     window of its next ``put_*``.
 
@@ -276,35 +283,137 @@ class WindowFaultStore(FaultHookStore):
     writes have completed normally (so a multi-cell campaign can target
     one specific write mid-run).
     """
+    window = SyncFlag(window_flag)
+    proceed = SyncFlag(proceed_flag) if proceed_flag is not None else None
+    trigger = OneShotTrigger(skip=skip_writes)
 
-    def __init__(self, root, *, window_flag: Union[str, Path],
-                 proceed_flag: Optional[Union[str, Path]] = None,
-                 kill_in_window: bool = False,
-                 skip_writes: int = 0,
-                 exit_code: int = 175,
-                 wait_timeout_s: float = 30.0,
-                 **store_kwargs):
-        super().__init__(root, **store_kwargs)
-        self.window_flag = SyncFlag(window_flag)
-        self.proceed_flag = (SyncFlag(proceed_flag)
-                             if proceed_flag is not None else None)
-        self.kill_in_window = kill_in_window
-        self.exit_code = exit_code
-        self.wait_timeout_s = wait_timeout_s
-        self._trigger = OneShotTrigger(skip=skip_writes)
-
-    def _pre_record_hook(self, key: str) -> None:
+    def hold_window(key: str) -> None:
         # By the time this hook runs the object file exists and the
         # manifest entry does not: the window is open.
-        if not self._trigger.should_fire():
+        if not trigger.should_fire():
             return
-        self.window_flag.set()
-        if self.kill_in_window:
+        window.set()
+        if kill_in_window:
             # Skips atexit/finally — the lease file stays behind
             # with a dead pid, exactly like SIGKILL.
-            os._exit(self.exit_code)
-        if self.proceed_flag is not None:
-            if not self.proceed_flag.wait(self.wait_timeout_s):
-                raise TimeoutError(
-                    f"window proceed flag {self.proceed_flag.path} was "
-                    f"never set within {self.wait_timeout_s} s")
+            os._exit(exit_code)
+        if proceed is not None and not proceed.wait(wait_timeout_s):
+            raise TimeoutError(
+                f"window proceed flag {proceed.path} was never set "
+                f"within {wait_timeout_s} s")
+
+    return ArtifactStore(FaultHookDirectory(
+        root, before_record=hold_window, **directory_kwargs))
+
+
+class TransportFaultKind:
+    """The fault vocabulary of :class:`FlakyTransport`.
+
+    ``connect``/``timeout`` raise
+    :class:`~repro.store.transport.TransportConnectionError` (a
+    ``ConnectionResetError``) or
+    :class:`~repro.store.transport.TransportTimeout` (a
+    ``TimeoutError``) before touching the backend; ``latency`` sleeps a
+    tiny deterministic delay, then succeeds; ``truncate`` halves the
+    payload of a ``get`` or ``put``; ``corrupt`` flips one seeded byte
+    of it in flight.
+    """
+
+    CONNECT = "connect"
+    TIMEOUT = "timeout"
+    LATENCY = "latency"
+    TRUNCATE = "truncate"
+    CORRUPT = "corrupt"
+
+
+#: How long a ``latency`` fault delays its operation.
+LATENCY_S = 0.002
+
+
+class FlakyTransport(Transport):
+    """Deterministic fault injection around any :class:`Transport`.
+
+    One :class:`~repro.testing.faults.FaultClock` counts *every*
+    operation (get/put/list/delete/commit) in call order; the
+    schedule's ordinals index that stream.  ``ops`` exposes the cursor
+    so tests can assert exactly where faults landed, and
+    ``fault_counts`` tallies what fired.
+    """
+
+    def __init__(self, inner: Transport, schedule: FaultSchedule):
+        self.inner = inner
+        self.schedule = schedule
+        self._clock = FaultClock(schedule)
+        self.fault_counts: Dict[str, int] = {}
+
+    @property
+    def ops(self) -> int:
+        """Operations attempted so far (faulted ones included)."""
+        return self._clock.ordinal
+
+    def _tick(self, op: str) -> Optional[str]:
+        fault = self._clock.next_fault(op)
+        if fault is None:
+            return None
+        self.fault_counts[fault] = self.fault_counts.get(fault, 0) + 1
+        if fault == TransportFaultKind.CONNECT:
+            raise TransportConnectionError(
+                f"injected connection fault at op {self._clock.ordinal - 1} "
+                f"({op})")
+        if fault == TransportFaultKind.TIMEOUT:
+            raise TransportTimeout(
+                f"injected timeout at op {self._clock.ordinal - 1} ({op})")
+        if fault == TransportFaultKind.LATENCY:
+            time.sleep(LATENCY_S)
+            return None
+        if fault in (TransportFaultKind.TRUNCATE, TransportFaultKind.CORRUPT):
+            return fault
+        raise ValueError(f"unknown transport fault kind {fault!r}")
+
+    @staticmethod
+    def _mangle(data: bytes, fault: Optional[str], seed_token: str) -> bytes:
+        if fault == TransportFaultKind.TRUNCATE:
+            return data[:len(data) // 2]
+        if fault == TransportFaultKind.CORRUPT:
+            if not data:
+                return data
+            # Deterministic single-byte flip: position and mask come
+            # from the token, not from shared RNG state.
+            rng = random.Random(seed_token)
+            pos = rng.randrange(len(data))
+            mangled = bytearray(data)
+            mangled[pos] ^= 1 + rng.randrange(255)
+            return bytes(mangled)
+        return data
+
+    def get(self, key: str, *, timeout_s: Optional[float] = None) -> bytes:
+        fault = self._tick("get")
+        data = self.inner.get(key, timeout_s=timeout_s)
+        return self._mangle(data, fault,
+                            f"{self.schedule.seed}:get:{key}")
+
+    def put(self, key: str, data: bytes, *,
+            timeout_s: Optional[float] = None) -> None:
+        fault = self._tick("put")
+        data = self._mangle(data, fault,
+                            f"{self.schedule.seed}:put:{key}")
+        self.inner.put(key, data, timeout_s=timeout_s)
+
+    def list(self, prefix: str = "", *,
+             timeout_s: Optional[float] = None) -> List[str]:
+        self._tick("list")
+        return self.inner.list(prefix, timeout_s=timeout_s)
+
+    def delete(self, key: str, *,
+               timeout_s: Optional[float] = None) -> None:
+        self._tick("delete")
+        self.inner.delete(key, timeout_s=timeout_s)
+
+    def commit(self, src_key: str, dst_key: str, *,
+               timeout_s: Optional[float] = None) -> None:
+        self._tick("commit")
+        self.inner.commit(src_key, dst_key, timeout_s=timeout_s)
+
+    def spawn_config(self) -> "FlakyTransport":
+        """The same schedule over a fresh inner transport, clock at 0."""
+        return FlakyTransport(self.inner.spawn_config(), self.schedule)

@@ -1,9 +1,10 @@
 """Deterministic fault-schedule primitives.
 
 This module is the shared vocabulary of every fault injector in the
-repository: the chaos stores of :mod:`repro.testing.chaos` and the
-:class:`~repro.store.transport.FlakyTransport` decorator all decide
-*when* a scripted fault fires through the same two pieces —
+repository: the backend decorators of :mod:`repro.testing.chaos`
+(:class:`~repro.testing.chaos.FlakyTransport` and the fault-hook store
+directory) decide *when* a scripted fault fires through the same two
+pieces —
 
 * :class:`OneShotTrigger` — "fire exactly once, after N earlier
   operations completed normally" (the window/kill stores);
@@ -13,10 +14,6 @@ repository: the chaos stores of :mod:`repro.testing.chaos` and the
   errors) and seeded per-operation probabilities.  Equal schedules
   replay equal fault sequences: determinism comes from hashing the seed
   and the ordinal, never from wall-clock time or shared RNG state.
-
-Nothing here imports the store or the campaign layers, so both sides of
-the dependency graph (``repro.store`` and ``repro.testing``) can use it
-without a cycle.
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ from typing import Optional, Tuple
 class OneShotTrigger:
     """Fires exactly once, after ``skip`` earlier :meth:`should_fire` calls.
 
-    The counting/armed/fired bookkeeping that
-    :class:`~repro.testing.chaos.WindowFaultStore` (and historically its
-    siblings) each reimplemented, in one place.
+    The counting/armed/fired bookkeeping of
+    :func:`~repro.testing.chaos.WindowFaultStore`, in one place.
     """
 
     def __init__(self, skip: int = 0):

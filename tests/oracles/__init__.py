@@ -12,5 +12,7 @@ baselines.  Nothing under ``src/repro`` imports this package.
   per-cycle pulse loop) and the serial population acquisitions;
 * :mod:`.scoring` — the per-threshold ROC scan, the scalar DFA guess
   scoring, the per-trace metric loops and the per-entry fault-capture
-  walk.
+  walk;
+* :mod:`.campaigns` — the bare, unsupervised process pool the campaign
+  supervisor replaced.
 """

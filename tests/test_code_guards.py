@@ -6,6 +6,12 @@
 * Each kernel has one production path: serial and interpreted
   references live in ``tests/oracles``, so no ``src/repro`` module may
   define a public ``*_serial`` name or import the oracles.
+* Production modules do not import the test harness: nothing under
+  ``repro.store`` or ``repro.campaigns`` imports ``repro.testing``, at
+  any level (function-local, ``TYPE_CHECKING`` or relative imports
+  included).
+* Every store declares the same surface, so campaign code never probes
+  a store with ``hasattr``.
 """
 
 from __future__ import annotations
@@ -89,4 +95,56 @@ def test_no_serial_twins_or_oracle_imports_in_package():
             if any(module == "tests" or module.startswith("tests.")
                    for module in modules):
                 problems.append(f"{name} imports the test oracles")
+    assert not problems, "; ".join(problems)
+
+
+#: Packages that must not import the test harness.
+HARNESS_FREE = ("store", "campaigns")
+
+
+def _imported_modules(path: Path, tree: ast.Module):
+    """Every module an import statement anywhere in ``tree`` names,
+    relative imports resolved against ``path``'s package."""
+    package = ["repro"] + list(path.relative_to(PACKAGE).parent.parts)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = (package[:len(package) - node.level + 1]
+                    if node.level else [])
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            # ``from repro import testing`` / ``from .. import testing``
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def _harness_imports(root: Path):
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module in _imported_modules(path, tree):
+            if module == "repro.testing" or module.startswith(
+                    "repro.testing."):
+                yield f"{path.relative_to(PACKAGE)} imports {module}"
+
+
+def _store_hasattr_calls(root: Path):
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "hasattr" and node.args
+                    and "store" in ast.unparse(node.args[0]).lower()):
+                yield (f"{path.relative_to(PACKAGE)}:{node.lineno} "
+                       f"{ast.unparse(node)}")
+
+
+def test_store_and_campaigns_do_not_import_the_test_harness():
+    problems = [problem for package in HARNESS_FREE
+                for problem in _harness_imports(PACKAGE / package)]
+    assert not problems, "; ".join(problems)
+
+
+def test_campaigns_never_probe_a_store_with_hasattr():
+    problems = list(_store_hasattr_calls(PACKAGE / "campaigns"))
     assert not problems, "; ".join(problems)

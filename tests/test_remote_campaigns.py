@@ -23,12 +23,12 @@ from repro.campaigns import (
 )
 from repro.store import (
     ArtifactStore,
-    FlakyTransport,
     LoopbackTransport,
     RemoteStore,
     RetryPolicy,
     TieredStore,
 )
+from repro.testing import FlakyTransport
 from repro.testing.faults import FaultSchedule, FaultWindow
 
 #: Same small multi-chunk grid as the shared-store stress suite:

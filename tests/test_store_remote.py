@@ -9,10 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.store import (
-    ArtifactStore,
     CircuitBreaker,
     CircuitOpenError,
-    FlakyTransport,
     LoopbackTransport,
     ManifestEntry,
     PendingUploadJournal,
@@ -22,10 +20,9 @@ from repro.store import (
     TieredStore,
     TransportConnectionError,
     TransportTimeout,
-    build_store,
-    build_transport,
     stable_key,
 )
+from repro.testing import FlakyTransport
 from repro.testing.faults import (
     FaultClock,
     FaultSchedule,
@@ -100,7 +97,7 @@ def test_loopback_transport_semantics(tmp_path):
     for bad in ("", "../escape", "a//b", "objects/../../etc"):
         with pytest.raises(ValueError):
             transport.get(bad)
-    rebuilt = build_transport(transport.spawn_config())
+    rebuilt = transport.spawn_config()
     assert rebuilt.get("objects/b.json") == b"payload2"
 
 
@@ -376,6 +373,38 @@ def test_tiered_sync_keeps_journal_while_remote_is_down(tmp_path):
     assert [e.key for e in tiered.pending_uploads()] == [key]  # kept
 
 
+def test_sync_keeps_journal_lines_appended_during_the_drain(tmp_path,
+                                                          monkeypatch):
+    """Regression: compaction used to rewrite the journal from the list
+    the drain read at its start, dropping a line a degraded writer
+    appended while the drain was uploading."""
+    remote_dir = tmp_path / "remote"
+    down = FaultSchedule(windows=(FaultWindow(0, 10**9, "connect"),))
+    writer = TieredStore(tmp_path / "local", _remote(
+        FlakyTransport(LoopbackTransport(remote_dir), down)))
+    key_a, key_b = stable_key({"drain": "a"}), stable_key({"drain": "b"})
+    writer.put_json(key_a, {"v": "a"})
+    assert [e.key for e in writer.pending_uploads()] == [key_a]
+
+    healed = TieredStore(tmp_path / "local", _remote(
+        LoopbackTransport(remote_dir)))
+    upload = healed.remote.put_object
+
+    def upload_while_b_is_written(entry, data):
+        if entry.key == key_a:
+            writer.put_json(key_b, {"v": "b"})  # degraded: journaled
+        return upload(entry, data)
+
+    monkeypatch.setattr(healed.remote, "put_object",
+                        upload_while_b_is_written)
+    assert healed.sync()["uploaded"] == [key_a]
+    assert [e.key for e in healed.pending_uploads()] == [key_b]
+    assert healed.sync()["uploaded"] == [key_b]
+    assert healed.pending_uploads() == []
+    assert _remote(LoopbackTransport(remote_dir)).load_json(key_b) == {
+        "v": "b"}
+
+
 def test_pending_journal_survives_torn_tail(tmp_path):
     journal = PendingUploadJournal(tmp_path / "pending_uploads.jsonl")
     entry = ManifestEntry(key="k1", kind="json", filename="k1.json",
@@ -388,23 +417,6 @@ def test_pending_journal_survives_torn_tail(tmp_path):
     assert [e.key for e in pending] == ["k1"]
     journal.rewrite([])
     assert not journal.path.exists()
-
-
-def test_build_store_round_trips_every_flavour(tmp_path):
-    local = ArtifactStore(tmp_path / "local")
-    remote = _remote(LoopbackTransport(tmp_path / "remote"))
-    tiered = TieredStore(local, remote)
-    key = stable_key({"cfg": 1})
-    tiered.put_json(key, {"v": 1})
-    for store in (local, remote, tiered):
-        rebuilt = build_store(store.spawn_config())
-        assert type(rebuilt) is type(store)
-        assert rebuilt.load_json(key) == {"v": 1}
-    assert build_store(None) is None
-    assert build_store(tiered) is tiered
-    assert isinstance(build_store(str(tmp_path / "local")), ArtifactStore)
-    with pytest.raises(ValueError):
-        build_store({"kind": "martian"})
 
 
 # -- CLI -----------------------------------------------------------------------
