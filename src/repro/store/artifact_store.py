@@ -61,7 +61,8 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from .core import DECODE_ERRORS, ManifestEntry, VerifiedStore, _sha256
+from .core import (DECODE_ERRORS, ManifestEntry, VerifiedStore, _sha256,
+                   backend_attribute)
 from .leases import (
     LeaseInfo,
     WriterLease,
@@ -73,6 +74,7 @@ from .locks import DEFAULT_LOCK_TIMEOUT_S, FileLock
 from .retry import RetryPolicy
 
 PathLike = Union[str, Path]
+
 
 def _list_dir(directory: Path) -> List[Path]:
     """Sorted children of ``directory``; empty when the directory is
@@ -605,10 +607,8 @@ class ArtifactStore(VerifiedStore):
     """The verified-object core over a local store directory.
 
     ``root`` is the directory path, or a ready :class:`DirectoryBackend`
-    (the chaos harness passes a fault-hook one).  The directory's own
-    surface — ``objects_dir``/``manifest_dir``/``quarantine_dir``,
-    ``leases``, ``fsck``, ``gc`` and ``sweep_tmp`` — is reached through
-    the store.
+    (the chaos harness passes a fault-hook one).  The directory's paths
+    and maintenance passes are forwarded below.
     """
 
     def __init__(self, root: Union[PathLike, DirectoryBackend], *,
@@ -624,6 +624,14 @@ class ArtifactStore(VerifiedStore):
     load_json = VerifiedStore.load_json
     load_arrays = VerifiedStore.load_arrays
 
+    objects_dir = backend_attribute("objects_dir")
+    manifest_dir = backend_attribute("manifest_dir")
+    quarantine_dir = backend_attribute("quarantine_dir")
+    leases = backend_attribute("leases")
+    fsck = backend_attribute("fsck")
+    gc = backend_attribute("gc")
+    sweep_tmp = backend_attribute("sweep_tmp")
+
     def spawn_config(self) -> "ArtifactStore":
         """A fresh store over the same directory, for a worker process."""
-        return ArtifactStore(self.root, locking=self.locking)
+        return ArtifactStore(self.root, locking=self.backend.locking)

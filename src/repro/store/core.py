@@ -138,16 +138,25 @@ class Store(Protocol):
     so callers never probe a store for capabilities.  ``spawn_config``
     returns a fresh store of the same configuration for a worker
     process: no inherited lease, a closed breaker, fault clocks at 0.
+    Stores subclass it explicitly and inherit the membership and size
+    defaults, which follow from ``entry`` and ``keys``.
     """
 
     @property
     def root(self) -> Any: ...
     def entry(self, key: str) -> Optional[ManifestEntry]: ...
-    def has(self, key: str) -> bool: ...
-    def __contains__(self, key: str) -> bool: ...
     def keys(self) -> Iterator[str]: ...
-    def __len__(self) -> int: ...
     def discard(self, key: str) -> bool: ...
+
+    def __contains__(self, key: str) -> bool:
+        return self.entry(key) is not None
+
+    def has(self, key: str) -> bool:
+        return key in self
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.keys())
+
     def put_json(self, key: str, payload: Any, *, kind: str = ...,
                  meta: Optional[Mapping[str, Any]] = ...
                  ) -> ManifestEntry: ...
@@ -163,25 +172,27 @@ class Store(Protocol):
     def spawn_config(self) -> "Store": ...
 
 
-class VerifiedStore:
+def backend_attribute(name: str) -> property:
+    """A read-only store property that reads ``name`` off its backend."""
+    return property(lambda store: getattr(store.backend, name))
+
+
+class VerifiedStore(Store):
     """Content-addressed JSON/npz artifacts over a byte backend.
 
     The backend seam: ``write(entry, data)`` (object, then manifest
     entry), ``read_entry(key)`` (``None`` unless a hit),
     ``read_object(entry)``, ``quarantine(entry)``, ``keys()``,
-    ``remove(key, entry)`` and the writer-lease pair.  Anything else a
-    backend offers (``root``; a directory's paths, ``fsck`` and ``gc``;
-    a transport's breaker) is reached through the store.
+    ``remove(key, entry)`` and the writer-lease pair.  A subclass
+    forwards the few backend extras its callers use (a directory's
+    ``fsck``, a transport's ``breaker``) by name; the rest stay on
+    ``store.backend``.
     """
+
+    root = backend_attribute("root")
 
     def __init__(self, backend: Any):
         self.backend = backend
-
-    def __getattr__(self, name: str) -> Any:
-        backend = self.__dict__.get("backend")
-        if backend is None:
-            raise AttributeError(name)
-        return getattr(backend, name)
 
     def acquire_lease(self, owner: str = "") -> Any:
         """Register (or refresh) this process's writer lease — a no-op
@@ -239,12 +250,6 @@ class VerifiedStore:
     def entry(self, key: str) -> Optional[ManifestEntry]:
         """The manifest entry of ``key`` — ``None`` unless it is a hit."""
         return self.backend.read_entry(_check_key(key))
-
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
-
-    def has(self, key: str) -> bool:
-        return key in self
 
     def _verified(self, key: str):
         """``(entry, payload bytes)`` of ``key``, digest-checked.
@@ -342,9 +347,6 @@ class VerifiedStore:
     def discard(self, key: str) -> bool:
         """Remove ``key`` (manifest entry first, then the object)."""
         return self.backend.remove(key, self.entry(key))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}({str(self.root)!r})"

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from .breaker import CircuitBreaker, CircuitOpenError
-from .core import ManifestEntry, VerifiedStore
+from .core import ManifestEntry, VerifiedStore, backend_attribute
 from .retry import RetryPolicy, is_retryable_error
 from .transport import LoopbackTransport, Transport
 
@@ -182,8 +182,7 @@ class RemoteStore(VerifiedStore):
     ``transport`` is any :class:`~repro.store.transport.Transport`; a
     path is shorthand for a directory-backed loopback transport.
     ``retry`` replaces the default transport retry policy (tests pass a
-    zero-sleep one).  ``breaker`` and ``transport`` are reached through
-    the store.
+    zero-sleep one).
     """
 
     def __init__(self, transport: Union[Transport, str, Path], *,
@@ -202,6 +201,10 @@ class RemoteStore(VerifiedStore):
     load_json = VerifiedStore.load_json
     load_arrays = VerifiedStore.load_arrays
 
+    transport = backend_attribute("transport")
+    breaker = backend_attribute("breaker")
+
     def spawn_config(self) -> "RemoteStore":
-        """A fresh store (closed breaker, fresh transport) for a worker."""
-        return RemoteStore(self.transport.spawn_config(), retry=self.retry)
+        """A fresh store for a worker: fresh transport, closed breaker and
+        the default retry policy."""
+        return RemoteStore(self.transport.spawn_config())

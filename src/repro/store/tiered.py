@@ -40,7 +40,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from .artifact_store import ArtifactStore
-from .core import ManifestEntry, StoreIntegrityError
+from .core import ManifestEntry, Store, StoreIntegrityError
 from .locks import FileLock
 from .remote import RemoteStore
 
@@ -125,10 +125,10 @@ class PendingUploadJournal:
         return len(self.pending())
 
 
-class TieredStore:
+class TieredStore(Store):
     """Write-through local + remote store with graceful degradation.
 
-    Declares the full :class:`~repro.store.core.Store` surface, so
+    Implements the full :class:`~repro.store.core.Store` surface, so
     ``CampaignEngine(store=...)`` and the supervisor accept it
     unchanged.  ``degraded_writes``/``remote_hits``/``backfills`` count
     what the tiers actually did, for tests and operators.
@@ -215,12 +215,6 @@ class TieredStore:
             return entry
         return self._backfill(key)
 
-    def __contains__(self, key: str) -> bool:
-        return self.entry(key) is not None
-
-    def has(self, key: str) -> bool:
-        return key in self
-
     def _load(self, key: str, load) -> Any:
         value = load(key)
         if value is None and self._backfill(key) is not None:
@@ -251,9 +245,6 @@ class TieredStore:
         except REMOTE_UNAVAILABLE:
             pass
         return iter(sorted(seen))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
 
     def discard(self, key: str) -> bool:
         """Remove ``key`` from both tiers (the remote when reachable)."""

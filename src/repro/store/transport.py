@@ -20,8 +20,6 @@ import os
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .artifact_store import _atomic_write_bytes
-
 
 class TransportConnectionError(ConnectionResetError):
     """The backend was unreachable (injected or real)."""
@@ -110,7 +108,14 @@ class LoopbackTransport(Transport):
             timeout_s: Optional[float] = None) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(path, data)
+        # open(), not mkstemp(): blobs get 0666 & ~umask, so hosts under
+        # other uids sharing the mount can read them.
+        tmp = path.with_name(path.name + f".tx-{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def list(self, prefix: str = "", *,
              timeout_s: Optional[float] = None) -> List[str]:

@@ -198,12 +198,10 @@ class FaultHookDirectory(DirectoryBackend):
     """
 
     def __init__(self, root: Union[str, Path], *,
-                 before_record: Optional[Callable[[str], None]] = None,
-                 after_write: Optional[Callable[..., None]] = None,
-                 **directory_kwargs: Any):
-        super().__init__(root, **directory_kwargs)
+                 before_record: Optional[Callable[[str], None]] = None):
+        super().__init__(root)
         self.before_record = before_record
-        self.after_write = after_write
+        self.after_write: Optional[Callable[..., None]] = None
 
     def _record(self, entry: ManifestEntry) -> None:
         if self.before_record is not None:
@@ -259,8 +257,7 @@ def WindowFaultStore(root: Union[str, Path], *,
                      kill_in_window: bool = False,
                      skip_writes: int = 0,
                      exit_code: int = 175,
-                     wait_timeout_s: float = 30.0,
-                     **directory_kwargs: Any) -> ArtifactStore:
+                     wait_timeout_s: float = 30.0) -> ArtifactStore:
     """An :class:`ArtifactStore` that stops inside the object→manifest
     window of its next ``put_*``.
 
@@ -302,8 +299,7 @@ def WindowFaultStore(root: Union[str, Path], *,
                 f"window proceed flag {proceed.path} was never set "
                 f"within {wait_timeout_s} s")
 
-    return ArtifactStore(FaultHookDirectory(
-        root, before_record=hold_window, **directory_kwargs))
+    return ArtifactStore(FaultHookDirectory(root, before_record=hold_window))
 
 
 class TransportFaultKind:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -99,6 +100,19 @@ def test_loopback_transport_semantics(tmp_path):
             transport.get(bad)
     rebuilt = transport.spawn_config()
     assert rebuilt.get("objects/b.json") == b"payload2"
+
+
+def test_loopback_blobs_keep_the_umask_file_mode(tmp_path):
+    """Committed blobs get 0666 & ~umask, so hosts under other uids that
+    share the mount can read them (a mkstemp file would be 0600)."""
+    old_umask = os.umask(0o022)
+    try:
+        remote = _remote(LoopbackTransport(tmp_path / "remote"))
+        entry = remote.put_json(stable_key({"mode": 1}), {"v": 1})
+    finally:
+        os.umask(old_umask)
+    for blob in (f"objects/{entry.filename}", f"manifest/{entry.key}.json"):
+        assert (tmp_path / "remote" / blob).stat().st_mode & 0o777 == 0o644
 
 
 # -- flaky transport -----------------------------------------------------------
