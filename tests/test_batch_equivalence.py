@@ -476,6 +476,43 @@ def test_campaign_delay_rows_match_serial_scoring(batch_platform):
             assert row.false_negative_rate == false_negative_rate(mu, sigma)
 
 
+def test_campaign_fault_rows_match_serial_scoring(batch_platform):
+    """Fault cells' batched characterisation equals per-die scalar scoring."""
+    from repro.analysis.gaussian import fit_gaussian, pooled_std
+    from repro.attacks.glitch_grid import device_fault_coverages
+    from repro.campaigns import CampaignEngine, CampaignSpec
+    from repro.core.metrics import false_negative_rate
+
+    spec = CampaignSpec(
+        name="fault-batch-equivalence", trojans=("HT1", "HT_seq"),
+        die_counts=(3,), metrics=("fault_coverage",), num_plaintexts=3,
+        delay_repetitions=3, seed=31,
+    )
+    engine = CampaignEngine(spec, golden=batch_platform.golden)
+    result = engine.run()
+    for cell, cell_result in zip(spec.grid(), result.cells):
+        data = engine.fault_sweep_data(cell)
+
+        def per_die_scores(tensor):
+            return np.array([
+                device_fault_coverages(data.correct, tensor[die:die + 1])[0]
+                for die in range(tensor.shape[0])])
+
+        genuine_scores = per_die_scores(data.golden_faulted)
+        genuine_fit = fit_gaussian(genuine_scores)
+        assert cell_result.golden_score_mean == float(genuine_fit.mean)
+        assert cell_result.golden_score_std == float(genuine_fit.std)
+        assert [row.trojan for row in cell_result.rows] == list(spec.trojans)
+        for row in cell_result.rows:
+            infected_scores = per_die_scores(
+                data.infected_faulted[row.trojan])
+            mu = float(fit_gaussian(infected_scores).mean - genuine_fit.mean)
+            sigma = float(pooled_std(genuine_scores, infected_scores))
+            assert row.mu == mu
+            assert row.sigma == sigma
+            assert row.false_negative_rate == false_negative_rate(mu, sigma)
+
+
 def test_population_study_matches_serial_replica(batch_platform):
     """The tensor-resident Sec. V study equals a fully serial replica."""
     from repro.analysis.gaussian import fit_gaussian, pooled_std

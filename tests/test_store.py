@@ -164,6 +164,27 @@ def test_delay_difference_payload_round_trip():
         assert np.array_equal(original, loaded)
 
 
+def test_delay_difference_payload_keeps_the_stored_layout():
+    """Packed arrays keep the names, order, dtypes and bytes that earlier
+    writers stored, so warm stores stay full hits."""
+    rng = np.random.default_rng(12)
+    golden = rng.normal(size=(3, 2, 8))
+    stacked = rng.normal(size=(6, 2, 8))
+    infected = {"HT_comb": stacked[:3], "HT_seq": stacked[3:]}
+    expected = {
+        "groups": np.array(["golden", "HT_comb", "HT_seq"]),
+        "golden::diff": np.stack(list(golden)),
+        "trojan::HT_comb::diff": np.stack(list(stacked[:3])),
+        "trojan::HT_seq::diff": np.stack(list(stacked[3:])),
+    }
+    packed = pack_delay_differences(golden, infected)
+    assert list(packed) == list(expected)
+    for name, value in expected.items():
+        assert packed[name].dtype == value.dtype
+        assert packed[name].shape == value.shape
+        assert packed[name].tobytes() == value.tobytes()
+
+
 def test_store_rejects_unsafe_keys_and_empty_payloads(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     for bad in ("", "../escape", "a/b", ".hidden"):
