@@ -87,6 +87,4 @@ def overlap_threshold(genuine: GaussianFit, infected: GaussianFit) -> float:
     the threshold implied by Fig. 7 where the false-positive and
     false-negative areas are equal.
     """
-    if genuine.std == 0 and infected.std == 0:
-        return (genuine.mean + infected.mean) / 2.0
     return (genuine.mean + infected.mean) / 2.0

@@ -5,33 +5,40 @@ grid far faster than naively re-running ``run_population_em_study`` per
 cell:
 
 * **batched acquisition** — every (design, die-population) trace set is
-  synthesised in one vectorised NumPy pass
-  (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_batch`);
+  synthesised tensor-resident in one vectorised NumPy pass per design
+  (:meth:`~repro.core.pipeline.HTDetectionPlatform.acquire_population_tensors`
+  over
+  :meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch_tensor`);
 * **memoised designs** — the golden design is built once and trojan
   insertion happens once per trojan name, shared by every grid cell
   through a common infected-design cache;
-* **memoised fingerprints** — acquired trace sets and the fitted golden
-  EM references are cached per (die count, acquisition variant), so
-  cells that differ only in the detection metric re-score cached traces
-  instead of re-acquiring;
+* **memoised populations** — acquired EM populations are cached per (die
+  count, acquisition variant), so cells that differ only in the
+  detection metric re-score cached tensors instead of re-acquiring;
+* **one population path** — every cell kind characterises its per-die
+  scores the same way (:func:`~repro.core.em_detector.characterise_score_matrix`,
+  the Gaussian model of Fig. 7 and Eq. (5)); only the per-die scorer
+  differs between EM, delay and fault-coverage cells;
 * **supervised parallelism** — independent grid cells can be spread
   over a fleet of supervised worker processes (``spec.workers > 1``,
   :class:`~repro.campaigns.supervisor.CampaignSupervisor`); results are
   identical to the serial order, and worker crashes, hung cells and
   raising cells are retried with backoff then quarantined as explicit
   ``failed`` rows instead of aborting the grid;
-* **delay-study cells** — grid cells carrying a ``delay_*`` metric run
-  the Sec. III clock-glitch campaign across the die population through
-  the compiled timing kernel: one
-  :meth:`~repro.measurement.delay_meter.PathDelayMeter.measure_batch`
-  call covers every (pair, device) combination, and cells differing
-  only in metric re-score the cached Eq. (4) difference matrices;
+* **delay-study and fault-sweep cells** — grid cells carrying a
+  ``delay_*`` metric run the Sec. III clock-glitch campaign, and
+  ``fault_coverage`` cells a glitch-grid fault-injection sweep, across
+  the die population through the compiled timing kernel.  Both measure
+  one shared device list per die count (each device's timing annotation
+  is built once), one batched kernel call covers every (stimulus,
+  device) combination, and cells differing only in metric re-score the
+  cached tensors;
 * **content-addressed persistence** — with a
-  :class:`~repro.store.ArtifactStore` attached, the acquisition/delay
-  caches, the infected-design summaries and every finished cell's rows
-  *read through* the store: a rerun (same spec fragment, any campaign
-  name, any host) loads instead of recomputing, an interrupted run
-  resumes with only the missing cells, and
+  :class:`~repro.store.ArtifactStore` attached, the population, delay
+  and fault-sweep caches, the infected-design summaries and every
+  finished cell's rows *read through* the store: a rerun (same spec
+  fragment, any campaign name, any host) loads instead of recomputing,
+  an interrupted run resumes with only the missing cells, and
   :meth:`CampaignSpec.shard`-ed runs on separate processes or hosts
   share artifacts and are fused back with
   :func:`merge_campaign_results` into a result row-for-row identical to
@@ -39,7 +46,7 @@ cell:
 
 The paper's Sec. V study itself lives in
 :func:`repro.core.pipeline.run_population_em_study` (re-exported here);
-both the platform method and the engine's grid cells are thin wrappers
+both the platform method and the engine's EM cells are thin wrappers
 over that one implementation.
 """
 
@@ -49,29 +56,27 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..backend import use_backend
-from ..analysis.batch import (
-    false_negative_rates,
-    fit_gaussians_batch,
-    pooled_std_batch,
-)
-from ..analysis.gaussian import fit_gaussian
-from ..analysis.traces import stack_traces
 from ..core.delay_detector import DelayDetector
+from ..core.em_detector import (
+    PopulationCharacterisation,
+    characterise_score_matrix,
+)
 from ..core.fingerprint import DelayFingerprint
 from ..core.metrics import (
     L1TraceMetric,
     LocalMaximaSumMetric,
     MaxDifferenceMetric,
-    false_negative_rate,
 )
 from ..core.pipeline import (
     HTDetectionPlatform,
     PlatformConfig,
+    PopulationTraceTensors,
     run_population_em_study,
 )
 from ..core.report import format_table
@@ -90,6 +95,7 @@ from ..measurement.delay_meter import (
     PlaintextKeyPair,
     generate_pk_pairs,
 )
+from ..measurement.dut import DeviceUnderTest
 from ..measurement.em_simulator import EMTrace
 from ..store import (
     DEFAULT_GOLDEN_SIGNATURE,
@@ -123,29 +129,16 @@ METRIC_FACTORIES = {
 }
 
 
-#: Delay-metric registry: spec metric name -> scorer over the Eq. (4)
-#: per-(pair, bit) difference matrix of one device campaign.  These
-#: per-device scorers are the serial references of
-#: :data:`DELAY_METRIC_BATCH_SCORERS`.
-DELAY_METRIC_SCORERS = {
+#: Delay-metric registry: spec metric name -> batched scorer over a
+#: stacked ``(devices, pairs, bits)`` Eq. (4) difference tensor; each
+#: returns the ``(devices,)`` per-die score vector.
+DELAY_METRIC_BATCH_SCORERS = {
     # Worst per-bit shift anywhere (the paper's device-level score: one
     # disturbed net is enough).
     "delay_max_difference":
-        lambda differences: float(differences.max()),
+        lambda differences: differences.max(axis=(1, 2)),
     # Mean over pairs of the per-pair worst shift (rewards trojans whose
     # influence shows on many stimuli, damps single-pair outliers).
-    "delay_mean_pair_max":
-        lambda differences: float(differences.max(axis=1).mean()),
-}
-
-
-#: Batched delay scorers over a stacked ``(devices, pairs, bits)``
-#: difference tensor; each returns the ``(devices,)`` score vector,
-#: bit-identical to looping the :data:`DELAY_METRIC_SCORERS` serial
-#: reference over the planes.
-DELAY_METRIC_BATCH_SCORERS = {
-    "delay_max_difference":
-        lambda differences: differences.max(axis=(1, 2)),
     "delay_mean_pair_max":
         lambda differences: differences.max(axis=2).mean(axis=1),
 }
@@ -159,17 +152,6 @@ def build_metric(name: str):
         raise KeyError(
             f"unknown metric {name!r}; available: "
             + ", ".join(METRIC_FACTORIES)
-        ) from exc
-
-
-def build_delay_scorer(name: str):
-    """Resolve a (serial) delay-metric scorer from its campaign-spec name."""
-    try:
-        return DELAY_METRIC_SCORERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown delay metric {name!r}; available: "
-            + ", ".join(DELAY_METRIC_SCORERS)
         ) from exc
 
 
@@ -215,6 +197,16 @@ class _FaultSweepData:
     correct: "np.ndarray"
     golden_faulted: "np.ndarray"
     infected_faulted: Dict[str, "np.ndarray"]
+
+
+def _unpack_fault_sweep_data(arrays: Mapping[str, np.ndarray]
+                             ) -> _FaultSweepData:
+    """A stored sweep, its grid rebuilt from the resolved axes."""
+    axes, plaintexts, correct, golden_faulted, infected_faulted = (
+        unpack_fault_sweep(arrays))
+    return _FaultSweepData(grid=GlitchGrid(**axes), plaintexts=plaintexts,
+                           correct=correct, golden_faulted=golden_faulted,
+                           infected_faulted=infected_faulted)
 
 
 @dataclass
@@ -474,26 +466,20 @@ class CampaignEngine:
         #: Trojan insertion cache shared by every platform of the grid.
         self._infected_cache: Dict[str, InfectedDesign] = {}
         self._platform_cache: Dict[Tuple[int, str], HTDetectionPlatform] = {}
-        self._acquisition_cache: Dict[
-            Tuple[int, str], Tuple[List[EMTrace], Dict[str, List[EMTrace]]]
-        ] = {}
-        #: Stacked (dies x samples) score inputs — seeded straight from
-        #: the acquisition tensors (or stacked once from store-loaded
-        #: traces) per acquisition key and shared by every metric cell,
-        #: so scoring never re-converts the same population.
-        self._matrix_cache: Dict[
-            Tuple[int, str], Tuple[np.ndarray, Dict[str, np.ndarray]]
-        ] = {}
-        #: Freshly acquired populations in tensor form, kept so the
-        #: EMTrace boundary (:meth:`acquire_cell_traces`) can wrap them
-        #: on demand without re-acquiring.
-        self._tensor_cache: Dict[Tuple[int, str], Any] = {}
-        #: Delay campaign measurements keyed by die count (the delay
-        #: bench is not affected by the EM acquisition variant, so cells
-        #: that differ only in variant or metric share one measurement).
+        #: EM populations per acquisition key, tensor-resident: cells that
+        #: differ only in the metric re-score one population, and
+        #: EMTrace objects are wrapped only for store writes and trace
+        #: archives (:meth:`acquire_cell_traces`).
+        self._population_cache: Dict[Tuple[int, str],
+                                     PopulationTraceTensors] = {}
+        #: Clean then infected devices per die count, shared by the delay
+        #: study and the fault sweep (neither depends on the EM variant),
+        #: so each device's timing annotation is built once.
+        self._device_cache: Dict[int, List[DeviceUnderTest]] = {}
+        #: Delay campaign measurements keyed by die count (cells that
+        #: differ only in variant or metric share one measurement).
         self._delay_cache: Dict[int, "_DelayStudyData"] = {}
-        #: Fault-sweep tensors keyed by die count (the glitch bench is
-        #: likewise independent of the EM acquisition variant).
+        #: Fault-sweep tensors keyed by die count.
         self._fault_cache: Dict[int, "_FaultSweepData"] = {}
         self._area_fraction_cache: Dict[str, float] = {}
         self._artifact_dir: Optional[Path] = None
@@ -512,6 +498,35 @@ class CampaignEngine:
         return self._golden
 
     # -- caches -------------------------------------------------------------------
+
+    def _read_through(self, cache: Dict[Any, Any], cache_key: Any,
+                      store_key: Callable[[], str], codec: str,
+                      decode: Callable[[Any], Any], compute: Callable[[], Any],
+                      encode: Callable[[Any], Tuple[Any, Dict[str, Any]]],
+                      kind: str) -> Any:
+        """Memo, then store, then compute (and store) one cached artifact.
+
+        ``codec`` names the store's ``load_*``/``put_*`` pair (``"json"``
+        or ``"arrays"``) and ``store_key`` is only evaluated with a store
+        attached.  ``load_*`` folds a corrupt (quarantined) object into a
+        miss, so a torn store write costs a recompute, not a crashed
+        campaign.  ``encode`` turns a freshly computed value into its
+        payload and manifest ``meta``.
+        """
+        if cache_key in cache:
+            return cache[cache_key]
+        key = None if self.store is None else store_key()
+        stored = (None if key is None
+                  else getattr(self.store, f"load_{codec}")(key))
+        if stored is not None:
+            cache[cache_key] = decode(stored)
+            return cache[cache_key]
+        value = cache[cache_key] = compute()
+        if key is not None:
+            payload, meta = encode(value)
+            getattr(self.store, f"put_{codec}")(key, payload, kind=kind,
+                                                meta=meta)
+        return value
 
     def infected_design(self, trojan_name: str) -> InfectedDesign:
         """Build (and cache) the infected design for a catalog trojan.
@@ -532,32 +547,24 @@ class CampaignEngine:
         Reads through the store: a warm run prints its ``% of AES``
         column without paying for golden synthesis and trojan insertion.
         """
-        if trojan_name in self._area_fraction_cache:
-            return self._area_fraction_cache[trojan_name]
-        store_key = None
-        if self.store is not None:
-            store_key = infected_summary_key(
-                device=self.device, golden=self._golden_signature,
-                trojan=trojan_name,
-            )
-            # load_json folds a corrupt (quarantined) object into a
-            # miss, so a torn store write costs a recompute, not a
-            # crashed campaign.
-            payload = self.store.load_json(store_key)
-            if payload is not None:
-                fraction = float(payload["area_fraction_of_aes"])
-                self._area_fraction_cache[trojan_name] = fraction
-                return fraction
-        fraction = float(self.infected_design(trojan_name)
-                         .area_fraction_of_aes())
-        if store_key is not None:
-            self.store.put_json(
-                store_key,
+        return self._read_through(
+            self._area_fraction_cache, trojan_name,
+            lambda: infected_summary_key(device=self.device,
+                                         golden=self._golden_signature,
+                                         trojan=trojan_name),
+            "json",
+            decode=lambda payload: float(payload["area_fraction_of_aes"]),
+            compute=lambda: float(self.infected_design(trojan_name)
+                                  .area_fraction_of_aes()),
+            encode=lambda fraction: (
                 {"trojan": trojan_name, "area_fraction_of_aes": fraction},
-                kind="infected_summary", meta={"trojan": trojan_name},
-            )
-        self._area_fraction_cache[trojan_name] = fraction
-        return fraction
+                {"trojan": trojan_name}),
+            kind="infected_summary",
+        )
+
+    def _delay_config(self) -> DelayMeasurementConfig:
+        return DelayMeasurementConfig(repetitions=self.spec.delay_repetitions,
+                                      seed=self.spec.seed)
 
     def platform_for(self, cell: GridCell) -> HTDetectionPlatform:
         """The (cached) detection platform of one grid cell.
@@ -571,10 +578,7 @@ class CampaignEngine:
             config = PlatformConfig(
                 num_dies=cell.num_dies,
                 seed=self.spec.seed,
-                delay=DelayMeasurementConfig(
-                    repetitions=self.spec.delay_repetitions,
-                    seed=self.spec.seed,
-                ),
+                delay=self._delay_config(),
                 em=cell.variant.build_em_config(),
             )
             self._platform_cache[cache_key] = HTDetectionPlatform(
@@ -585,106 +589,79 @@ class CampaignEngine:
             )
         return self._platform_cache[cache_key]
 
-    def _population_store_key(self, cell: GridCell) -> Optional[str]:
-        if self.store is None:
-            return None
-        return population_traces_key(
-            device=self.device, golden=self._golden_signature,
-            em_config=cell.variant.build_em_config(),
-            seed=self.spec.seed, num_dies=cell.num_dies,
-            trojans=self.spec.trojans, key=self.spec.key,
-            plaintexts=self.spec.stimulus_plaintexts(),
-        )
+    def _population_tensors(self, cell: GridCell) -> PopulationTraceTensors:
+        """The cell's EM population, acquired (or loaded) once per key.
 
-    def _acquire_cell_tensors(self, cell: GridCell):
-        """Acquire (and memoise) one cell's population in tensor form."""
-        cache_key = cell.acquisition_key
-        if cache_key in self._tensor_cache:
-            return self._tensor_cache[cache_key]
-        tensors = self.platform_for(cell).acquire_population_tensors(
-            self.spec.trojans, self.spec.stimulus_plaintexts(), self.spec.key
+        A fresh acquisition stays tensor-resident; a store hit is
+        stacked into tensors once; a store write wraps the tensors into
+        :class:`EMTrace` objects for the payload only.
+        """
+        spec = self.spec
+        plaintexts = spec.stimulus_plaintexts()
+        return self._read_through(
+            self._population_cache, cell.acquisition_key,
+            lambda: population_traces_key(
+                device=self.device, golden=self._golden_signature,
+                em_config=cell.variant.build_em_config(),
+                seed=spec.seed, num_dies=cell.num_dies,
+                trojans=spec.trojans, key=spec.key, plaintexts=plaintexts,
+            ),
+            "arrays",
+            decode=lambda stored: PopulationTraceTensors.from_traces(
+                *unpack_population_traces(stored)),
+            compute=lambda: self.platform_for(cell).acquire_population_tensors(
+                spec.trojans, plaintexts, spec.key),
+            encode=lambda tensors: (
+                pack_population_traces(*tensors.to_traces()),
+                {"num_dies": cell.num_dies, "variant": cell.variant.name,
+                 "num_plaintexts": len(plaintexts)}),
+            kind="population_traces",
         )
-        self._tensor_cache[cache_key] = tensors
-        self._matrix_cache.setdefault(
-            cache_key,
-            (tensors.golden,
-             {name: tensors.infected[name] for name in self.spec.trojans}),
-        )
-        return tensors
 
     def acquire_cell_traces(self, cell: GridCell
                             ) -> Tuple[List[EMTrace], Dict[str, List[EMTrace]]]:
-        """Acquire (or reuse) the population traces of one grid cell.
+        """The population traces of one grid cell as :class:`EMTrace` lists.
 
-        This is the golden-fingerprint cache: cells that differ only in
-        the metric share the acquired traces and therefore the golden
-        reference they induce.  With ``spec.num_plaintexts > 1`` the
-        whole stimulus set is acquired in batched
-        (:meth:`~repro.measurement.em_simulator.EMSimulator.acquire_many_batch`)
-        passes and each die is represented by its stimulus-averaged
-        trace.  This is the :class:`EMTrace` *persistence boundary* —
-        scoring runs on the tensors of :meth:`cell_trace_matrices`;
-        trace objects are wrapped here for the store and the trace
-        archives (and on demand from an already-acquired tensor, without
-        re-acquiring).
+        Cells that differ only in the metric share the acquired
+        population and therefore the golden reference it induces.  With
+        ``spec.num_plaintexts > 1`` each die is represented by its
+        stimulus-averaged trace.  This is the :class:`EMTrace`
+        *persistence boundary*: scoring runs on the cached tensors, and
+        trace objects are wrapped here (for the trace archives) without
+        re-acquiring.
         """
-        cache_key = cell.acquisition_key
-        if cache_key in self._acquisition_cache:
-            return self._acquisition_cache[cache_key]
-        store_key = self._population_store_key(cell)
-        if store_key is not None:
-            stored = self.store.load_arrays(store_key)
-            if stored is not None:
-                self._acquisition_cache[cache_key] = (
-                    unpack_population_traces(stored))
-                return self._acquisition_cache[cache_key]
-        tensors = self._acquire_cell_tensors(cell)
-        self._acquisition_cache[cache_key] = tensors.to_traces()
-        if store_key is not None:
-            golden_traces, infected_traces = self._acquisition_cache[cache_key]
-            self.store.put_arrays(
-                store_key,
-                pack_population_traces(golden_traces, infected_traces),
-                kind="population_traces",
-                meta={"num_dies": cell.num_dies,
-                      "variant": cell.variant.name,
-                      "num_plaintexts":
-                          len(self.spec.stimulus_plaintexts())},
-            )
-        return self._acquisition_cache[cache_key]
+        return self._population_tensors(cell).to_traces()
 
-    def cell_trace_matrices(self, cell: GridCell
-                            ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """The cell's population as stacked ``(dies, samples)`` matrices.
+    def _population_devices(self, cell: GridCell) -> List[DeviceUnderTest]:
+        """The delay and fault benches' devices of one die count.
 
-        Memoised per acquisition key: cells that differ only in the
-        metric share one population, and every scorer consumes the
-        matrices directly (:mod:`repro.analysis.batch`).  Fresh
-        acquisitions stay tensor-resident end-to-end (no intermediate
-        :class:`EMTrace` objects); only a store hit — whose payload *is*
-        trace objects — pays one stacking pass, and a store-backed cold
-        run wraps traces once for the store write while the matrices
-        come straight from the acquisition tensors.
+        ``Clean_die{i}`` for every die, then ``{trojan}_die{i}`` per
+        trojan in spec order.  Both benches derive each device's noise
+        seed from its position in this list, and share the devices
+        themselves, so every (die, design) timing annotation is built
+        once per die count.
         """
-        cache_key = cell.acquisition_key
-        if cache_key in self._matrix_cache:
-            return self._matrix_cache[cache_key]
-        store_key = self._population_store_key(cell)
-        if store_key is None and cache_key not in self._acquisition_cache:
-            # No store attached: acquire in tensor form and skip the
-            # EMTrace boundary entirely (the trace archive, if enabled,
-            # wraps the cached tensors later without re-acquiring).
-            self._acquire_cell_tensors(cell)
-            return self._matrix_cache[cache_key]
-        golden_traces, infected_traces = self.acquire_cell_traces(cell)
-        if cache_key not in self._matrix_cache:
-            # Store hit: stack the loaded trace lists once.
-            self._matrix_cache[cache_key] = (
-                stack_traces(golden_traces),
-                {name: stack_traces(infected_traces[name])
-                 for name in self.spec.trojans},
+        num_dies = cell.num_dies
+        if num_dies not in self._device_cache:
+            platform = self.platform_for(cell)
+            dies = range(num_dies)
+            self._device_cache[num_dies] = (
+                [platform.golden_dut(die, label=f"Clean_die{die}")
+                 for die in dies]
+                + [platform.infected_dut(name, die)
+                   for name in self.spec.trojans for die in dies]
             )
-        return self._matrix_cache[cache_key]
+        return self._device_cache[num_dies]
+
+    def _split_population(self, stacked: np.ndarray
+                          ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Views of a stacked ``(devices, ...)`` tensor in device order.
+
+        Returns the golden block and one block per trojan, the layout of
+        :meth:`_population_devices`.
+        """
+        golden, *infected = np.split(stacked, 1 + len(self.spec.trojans))
+        return golden, dict(zip(self.spec.trojans, infected))
 
     def delay_study_data(self, cell: GridCell) -> "_DelayStudyData":
         """Measure (or reuse) the delay campaigns of one grid cell.
@@ -696,36 +673,30 @@ class CampaignEngine:
         call — the compiled timing kernel sweeps the whole
         (pairs x devices) grid in a few array passes.  Cells that differ
         only in the metric (or the EM variant) re-score the cached
-        Eq. (4) difference matrices.
+        Eq. (4) difference tensors.
         """
-        num_dies = cell.num_dies
-        if num_dies in self._delay_cache:
-            return self._delay_cache[num_dies]
-        store_key = None
-        if self.store is not None:
-            store_key = delay_differences_key(
+        spec = self.spec
+        return self._read_through(
+            self._delay_cache, cell.num_dies,
+            lambda: delay_differences_key(
                 device=self.device, golden=self._golden_signature,
-                delay_config=DelayMeasurementConfig(
-                    repetitions=self.spec.delay_repetitions,
-                    seed=self.spec.seed,
-                ),
-                seed=self.spec.seed, num_dies=num_dies,
-                trojans=self.spec.trojans,
-                num_pk_pairs=self.spec.num_pk_pairs,
-            )
-            stored = self.store.load_arrays(store_key)
-            if stored is not None:
-                golden_differences, infected_differences = (
-                    unpack_delay_differences(stored)
-                )
-                self._delay_cache[num_dies] = _DelayStudyData(
-                    golden_differences=np.stack(golden_differences),
-                    infected_differences={
-                        name: np.stack(matrices)
-                        for name, matrices in infected_differences.items()
-                    },
-                )
-                return self._delay_cache[num_dies]
+                delay_config=self._delay_config(), seed=spec.seed,
+                num_dies=cell.num_dies, trojans=spec.trojans,
+                num_pk_pairs=spec.num_pk_pairs,
+            ),
+            "arrays",
+            decode=lambda stored: _DelayStudyData(
+                *unpack_delay_differences(stored)),
+            compute=lambda: self._measure_delay_study(cell),
+            encode=lambda data: (
+                pack_delay_differences(data.golden_differences,
+                                       data.infected_differences),
+                {"num_dies": cell.num_dies,
+                 "num_pk_pairs": spec.num_pk_pairs}),
+            kind="delay_differences",
+        )
+
+    def _measure_delay_study(self, cell: GridCell) -> "_DelayStudyData":
         spec = self.spec
         platform = self.platform_for(cell)
         meter = platform.delay_meter
@@ -745,65 +716,23 @@ class CampaignEngine:
         detector = DelayDetector(
             DelayFingerprint.from_measurement(fingerprint_measurement)
         )
-
-        duts = []
-        for die_index in range(num_dies):
-            duts.append(platform.golden_dut(die_index,
-                                            label=f"Clean_die{die_index}"))
-        for name in spec.trojans:
-            for die_index in range(num_dies):
-                duts.append(platform.infected_dut(name, die_index))
+        duts = self._population_devices(cell)
         # One seed per device position: injective for any population
         # size, so no two devices ever share a noise stream.
         seeds = [spec.seed + 100 + position
                  for position in range(len(duts))]
         measurements = meter.measure_batch(duts, pairs, glitch,
                                            seeds=seeds)
-
         # One batched Eq. (4) evaluation over every (device, die)
         # campaign, then views into the stacked tensor per population.
-        differences = detector.difference_ps_batch(measurements)
-        infected_differences: Dict[str, np.ndarray] = {}
-        for trojan_index, name in enumerate(spec.trojans):
-            begin = num_dies * (1 + trojan_index)
-            infected_differences[name] = differences[begin:begin + num_dies]
-        self._delay_cache[num_dies] = _DelayStudyData(
-            golden_differences=differences[:num_dies],
-            infected_differences=infected_differences,
-        )
-        if store_key is not None:
-            self.store.put_arrays(
-                store_key,
-                pack_delay_differences(differences[:num_dies],
-                                       infected_differences),
-                kind="delay_differences",
-                meta={"num_dies": num_dies,
-                      "num_pk_pairs": self.spec.num_pk_pairs},
-            )
-        return self._delay_cache[num_dies]
+        return _DelayStudyData(*self._split_population(
+            detector.difference_ps_batch(measurements)))
 
     def _spec_glitch_grid(self) -> Optional[GlitchGrid]:
         """The spec's explicit glitch grid, or None for auto-calibration."""
         if not self.spec.glitch_offsets_ps:
             return None
         return GlitchGrid(
-            offsets_ps=self.spec.glitch_offsets_ps,
-            widths_ps=self.spec.glitch_widths_ps,
-            periods_ps=self.spec.glitch_periods_ps,
-        )
-
-    def _fault_sweep_store_key(self, num_dies: int) -> Optional[str]:
-        if self.store is None:
-            return None
-        return fault_sweep_key(
-            device=self.device, golden=self._golden_signature,
-            delay_config=DelayMeasurementConfig(
-                repetitions=self.spec.delay_repetitions,
-                seed=self.spec.seed,
-            ),
-            seed=self.spec.seed, num_dies=num_dies,
-            trojans=self.spec.trojans, key=self.spec.key,
-            plaintexts=self.spec.stimulus_plaintexts(),
             offsets_ps=self.spec.glitch_offsets_ps,
             widths_ps=self.spec.glitch_widths_ps,
             periods_ps=self.spec.glitch_periods_ps,
@@ -824,43 +753,43 @@ class CampaignEngine:
         grid axes travel in the payload, so warm runs skip calibration
         and the golden build entirely).
         """
-        num_dies = cell.num_dies
-        if num_dies in self._fault_cache:
-            return self._fault_cache[num_dies]
-        store_key = self._fault_sweep_store_key(num_dies)
-        stored = (self.store.load_arrays(store_key)
-                  if store_key is not None else None)
-        if stored is not None:
-            axes, plaintexts, correct, golden_faulted, infected_faulted = (
-                unpack_fault_sweep(stored)
-            )
-            self._fault_cache[num_dies] = _FaultSweepData(
-                grid=GlitchGrid(
-                    offsets_ps=tuple(axes["offsets_ps"]),
-                    widths_ps=tuple(axes["widths_ps"]),
-                    periods_ps=tuple(axes["periods_ps"]),
-                ),
-                plaintexts=plaintexts,
-                correct=correct,
-                golden_faulted=golden_faulted,
-                infected_faulted=infected_faulted,
-            )
-            return self._fault_cache[num_dies]
         spec = self.spec
-        platform = self.platform_for(cell)
-        meter = platform.delay_meter
+        return self._read_through(
+            self._fault_cache, cell.num_dies,
+            lambda: fault_sweep_key(
+                device=self.device, golden=self._golden_signature,
+                delay_config=self._delay_config(), seed=spec.seed,
+                num_dies=cell.num_dies, trojans=spec.trojans, key=spec.key,
+                plaintexts=spec.stimulus_plaintexts(),
+                offsets_ps=spec.glitch_offsets_ps,
+                widths_ps=spec.glitch_widths_ps,
+                periods_ps=spec.glitch_periods_ps,
+            ),
+            "arrays",
+            decode=_unpack_fault_sweep_data,
+            compute=lambda: self._synthesise_fault_sweep(cell),
+            encode=lambda data: (
+                pack_fault_sweep(
+                    {"offsets_ps": data.grid.offsets_ps,
+                     "widths_ps": data.grid.widths_ps,
+                     "periods_ps": data.grid.periods_ps},
+                    data.plaintexts, data.correct, data.golden_faulted,
+                    data.infected_faulted,
+                ),
+                {"num_dies": cell.num_dies,
+                 "num_grid_points": data.grid.num_points,
+                 "num_plaintexts": len(data.plaintexts)}),
+            kind="fault_sweep",
+        )
+
+    def _synthesise_fault_sweep(self, cell: GridCell) -> "_FaultSweepData":
+        spec = self.spec
+        meter = self.platform_for(cell).delay_meter
         plaintexts = spec.stimulus_plaintexts()
         pairs = [PlaintextKeyPair(index=index, plaintext=plaintext,
                                   key=spec.key)
                  for index, plaintext in enumerate(plaintexts)]
-
-        duts = []
-        for die_index in range(num_dies):
-            duts.append(platform.golden_dut(die_index,
-                                            label=f"Clean_die{die_index}"))
-        for name in spec.trojans:
-            for die_index in range(num_dies):
-                duts.append(platform.infected_dut(name, die_index))
+        duts = self._population_devices(cell)
         arrivals = meter.batch_arrival_times(duts, pairs)
 
         # Correct/stale capture values of the attacked round, straight
@@ -895,33 +824,14 @@ class CampaignEngine:
             )
             for position in range(len(duts))
         ])
-        infected_faulted: Dict[str, np.ndarray] = {}
-        for trojan_index, name in enumerate(spec.trojans):
-            begin = num_dies * (1 + trojan_index)
-            infected_faulted[name] = faulted[begin:begin + num_dies]
-        self._fault_cache[num_dies] = _FaultSweepData(
+        golden_faulted, infected_faulted = self._split_population(faulted)
+        return _FaultSweepData(
             grid=grid,
             plaintexts=as_block_matrix(plaintexts),
             correct=correct,
-            golden_faulted=faulted[:num_dies],
+            golden_faulted=golden_faulted,
             infected_faulted=infected_faulted,
         )
-        if store_key is not None:
-            self.store.put_arrays(
-                store_key,
-                pack_fault_sweep(
-                    {"offsets_ps": grid.offsets_ps,
-                     "widths_ps": grid.widths_ps,
-                     "periods_ps": grid.periods_ps},
-                    as_block_matrix(plaintexts), correct,
-                    faulted[:num_dies], infected_faulted,
-                ),
-                kind="fault_sweep",
-                meta={"num_dies": num_dies,
-                      "num_grid_points": grid.num_points,
-                      "num_plaintexts": len(plaintexts)},
-            )
-        return self._fault_cache[num_dies]
 
     # -- execution ----------------------------------------------------------------
 
@@ -935,139 +845,17 @@ class CampaignEngine:
         bit-identical to the default ``numpy`` backend.
         """
         with use_backend(self.spec.kernel_backend):
-            if cell.is_delay:
-                return self._run_delay_cell(cell)
-            if cell.is_fault:
-                return self._run_fault_cell(cell)
+            if cell.is_delay or cell.is_fault:
+                return self._run_scored_cell(cell)
             return self._run_em_cell(cell)
 
-    def _run_fault_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Score one fault-sweep cell from the cached ciphertext tensors.
-
-        Same Gaussian characterisation as the delay cells, with the
-        per-die score being the device's *fault coverage* over the
-        glitch grid — a trojan's altered path delays shift which grid
-        points fault, separating the infected population from the clean
-        one.  Scoring is one
-        :func:`~repro.attacks.glitch_grid.device_fault_coverages` pass
-        per population, then batched fits / Eq. (5) rates.
-        """
-        start = time.perf_counter()
-        data = self.fault_sweep_data(cell)
-        genuine_scores = device_fault_coverages(data.correct,
-                                                data.golden_faulted)
-        genuine_fit = fit_gaussian(genuine_scores)
-        infected_score_matrix = np.stack(
-            [device_fault_coverages(data.correct,
-                                    data.infected_faulted[name])
-             for name in self.spec.trojans]
-        ) if self.spec.trojans else np.zeros((0, genuine_scores.size))
-        infected_means, _ = fit_gaussians_batch(infected_score_matrix)
-        mus = infected_means - genuine_fit.mean
-        sigmas = pooled_std_batch(genuine_scores, infected_score_matrix)
-        fn_rates = false_negative_rates(mus, sigmas)
-        rows = []
-        for trojan_index, name in enumerate(self.spec.trojans):
-            fn_rate = float(fn_rates[trojan_index])
-            rows.append(CampaignRow(
-                cell_index=cell.index,
-                num_dies=cell.num_dies,
-                variant=cell.variant.name,
-                metric=cell.metric,
-                trojan=name,
-                area_fraction=self.trojan_area_fraction(name),
-                mu=float(mus[trojan_index]),
-                sigma=float(sigmas[trojan_index]),
-                false_negative_rate=fn_rate,
-                detection_probability=1.0 - fn_rate,
-            ))
-        return CampaignCellResult(
-            index=cell.index,
-            num_dies=cell.num_dies,
-            variant=cell.variant.name,
-            metric=cell.metric,
-            rows=rows,
-            golden_score_mean=float(genuine_fit.mean),
-            golden_score_std=float(genuine_fit.std),
-            elapsed_s=time.perf_counter() - start,
-        )
-
-    def _run_delay_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Score one delay-study cell from the cached difference tensors.
-
-        Mirrors the EM cells' Gaussian characterisation: the genuine
-        population is the per-die score of clean devices against the
-        golden fingerprint, the infected population the per-die scores
-        of one trojan, and the Eq. (5) overlap gives the
-        false-negative rate.  Scoring is batched end-to-end: one
-        :data:`DELAY_METRIC_BATCH_SCORERS` pass per population and
-        batched Gaussian fits / Eq. (5) rates over the per-trojan score
-        matrix (:mod:`repro.analysis.batch`), bit-identical to the
-        per-die serial loops.
-        """
-        start = time.perf_counter()
-        data = self.delay_study_data(cell)
-        scorer = build_delay_batch_scorer(cell.metric)
-        genuine_scores = scorer(data.golden_differences)
-        genuine_fit = fit_gaussian(genuine_scores)
-        infected_score_matrix = np.stack(
-            [scorer(data.infected_differences[name])
-             for name in self.spec.trojans]
-        ) if self.spec.trojans else np.zeros((0, genuine_scores.size))
-        infected_means, _ = fit_gaussians_batch(infected_score_matrix)
-        mus = infected_means - genuine_fit.mean
-        # Both populations have one score per die and the spec enforces
-        # >= 2 dies, so the pooled estimate always applies.
-        sigmas = pooled_std_batch(genuine_scores, infected_score_matrix)
-        fn_rates = false_negative_rates(mus, sigmas)
-        rows = []
-        for trojan_index, name in enumerate(self.spec.trojans):
-            mu = float(mus[trojan_index])
-            sigma = float(sigmas[trojan_index])
-            fn_rate = float(fn_rates[trojan_index])
-            rows.append(CampaignRow(
-                cell_index=cell.index,
-                num_dies=cell.num_dies,
-                variant=cell.variant.name,
-                metric=cell.metric,
-                trojan=name,
-                area_fraction=self.trojan_area_fraction(name),
-                mu=mu,
-                sigma=sigma,
-                false_negative_rate=fn_rate,
-                detection_probability=1.0 - fn_rate,
-            ))
-        return CampaignCellResult(
-            index=cell.index,
-            num_dies=cell.num_dies,
-            variant=cell.variant.name,
-            metric=cell.metric,
-            rows=rows,
-            golden_score_mean=float(genuine_fit.mean),
-            golden_score_std=float(genuine_fit.std),
-            elapsed_s=time.perf_counter() - start,
-        )
-
-    def _run_em_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
-
-        Scoring is matrix-resident: the cell's population enters the
-        study as pre-stacked ``(dies x samples)`` matrices
-        (:meth:`cell_trace_matrices`) shared across every metric cell of
-        the acquisition key, and the whole-population scores come out of
-        the batched kernel passes of :mod:`repro.analysis.batch`.
-        """
-        start = time.perf_counter()
-        golden_matrix, infected_matrices = self.cell_trace_matrices(cell)
-        study = run_population_em_study(
-            None,
-            trojan_names=self.spec.trojans,
-            metric=build_metric(cell.metric),
-            traces=(golden_matrix, infected_matrices),
-            area_fractions={name: self.trojan_area_fraction(name)
-                            for name in self.spec.trojans},
-        )
-        golden_fit = study.characterisations[self.spec.trojans[0]].genuine
+    def _cell_result(self, cell: GridCell,
+                     characterisations: Mapping[str,
+                                                PopulationCharacterisation],
+                     start: float, trace_archive: Optional[str] = None
+                     ) -> CampaignCellResult:
+        """The result rows of one characterised cell, one per trojan."""
+        genuine = characterisations[self.spec.trojans[0]].genuine
         rows = [
             CampaignRow(
                 cell_index=cell.index,
@@ -1075,36 +863,93 @@ class CampaignEngine:
                 variant=cell.variant.name,
                 metric=cell.metric,
                 trojan=name,
-                area_fraction=study.trojan_area_fractions[name],
-                mu=study.characterisations[name].mu,
-                sigma=study.characterisations[name].sigma,
-                false_negative_rate=study.characterisations[name].false_negative_rate,
-                detection_probability=study.characterisations[name].detection_probability,
+                area_fraction=self.trojan_area_fraction(name),
+                mu=characterisations[name].mu,
+                sigma=characterisations[name].sigma,
+                false_negative_rate=characterisations[name].false_negative_rate,
+                detection_probability=characterisations[name].detection_probability,
             )
             for name in self.spec.trojans
         ]
-        trace_archive = self._maybe_save_traces(cell)
         return CampaignCellResult(
             index=cell.index,
             num_dies=cell.num_dies,
             variant=cell.variant.name,
             metric=cell.metric,
             rows=rows,
-            golden_score_mean=float(golden_fit.mean),
-            golden_score_std=float(golden_fit.std),
+            golden_score_mean=float(genuine.mean),
+            golden_score_std=float(genuine.std),
             elapsed_s=time.perf_counter() - start,
             trace_archive=trace_archive,
         )
+
+    def _run_scored_cell(self, cell: GridCell) -> CampaignCellResult:
+        """Score one delay or fault-sweep cell from its cached tensors.
+
+        Mirrors the EM cells' Gaussian characterisation: the genuine
+        population is the per-die score of the clean devices, the
+        infected population the per-die scores of one trojan, and the
+        Eq. (5) overlap gives the false-negative rate.  Only the per-die
+        scorer is specific to the cell kind: a
+        :data:`DELAY_METRIC_BATCH_SCORERS` pass over the Eq. (4)
+        difference tensors, or the device's *fault coverage* over the
+        glitch grid (a trojan's altered path delays shift which grid
+        points fault).  One scorer call per population, then one batched
+        :func:`~repro.core.em_detector.characterise_score_matrix`.
+        """
+        start = time.perf_counter()
+        if cell.is_delay:
+            data = self.delay_study_data(cell)
+            scorer = build_delay_batch_scorer(cell.metric)
+            golden, infected = (data.golden_differences,
+                                data.infected_differences)
+        else:
+            data = self.fault_sweep_data(cell)
+
+            def scorer(faulted: np.ndarray) -> np.ndarray:
+                return device_fault_coverages(data.correct, faulted)
+
+            golden, infected = data.golden_faulted, data.infected_faulted
+        score_matrix = np.stack([scorer(infected[name])
+                                 for name in self.spec.trojans])
+        return self._cell_result(
+            cell,
+            characterise_score_matrix(self.spec.trojans, scorer(golden),
+                                      score_matrix),
+            start,
+        )
+
+    def _run_em_cell(self, cell: GridCell) -> CampaignCellResult:
+        """Execute one EM grid cell: acquire (or reuse) traces, score, decide.
+
+        Scoring is matrix-resident: the cell's population enters the
+        study as the cached ``(dies x samples)`` tensors shared across
+        every metric cell of the acquisition key, and the
+        whole-population scores come out of the batched kernel passes
+        of :mod:`repro.analysis.batch`.
+        """
+        start = time.perf_counter()
+        tensors = self._population_tensors(cell)
+        study = run_population_em_study(
+            None,
+            trojan_names=self.spec.trojans,
+            metric=build_metric(cell.metric),
+            traces=(tensors.golden, tensors.infected),
+            area_fractions={name: self.trojan_area_fraction(name)
+                            for name in self.spec.trojans},
+        )
+        return self._cell_result(cell, study.characterisations, start,
+                                 self._maybe_save_traces(cell))
 
     def _maybe_save_traces(self, cell: GridCell) -> Optional[str]:
         """Persist the cell's trace artifact (once per acquisition key).
 
         Ownership is deterministic — the lowest-index cell of each
         acquisition key writes the archive — so parallel workers never
-        race on the same file.  The :class:`EMTrace` objects live in the
-        acquisition cache (this persistence boundary is the only scoring
-        consumer that needs them; the scorers run on the stacked
-        matrices).
+        race on the same file.  The :class:`EMTrace` objects are wrapped
+        here from the cached population tensors (this persistence
+        boundary is the only consumer that needs them; the scorers run
+        on the tensors).
         """
         if self._artifact_dir is None or not self.spec.save_traces:
             return None

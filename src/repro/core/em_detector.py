@@ -124,6 +124,40 @@ class PopulationCharacterisation:
         return 1.0 - self.false_negative_rate
 
 
+def characterise_score_matrix(names: Sequence[str],
+                              genuine_scores: np.ndarray,
+                              score_matrix: np.ndarray
+                              ) -> Dict[str, PopulationCharacterisation]:
+    """Fit the two-Gaussian model of Fig. 7 for several trojans at once.
+
+    ``genuine_scores`` holds the clean population's per-die scores and
+    row ``i`` of the ``(trojans, dies)`` ``score_matrix`` those of
+    ``names[i]``'s infected population.  Every Gaussian fit, pooled
+    sigma and Eq. (5) rate comes out of the batched primitives of
+    :mod:`repro.analysis.batch`, bit-identical to
+    :meth:`PopulationEMDetector.characterise` on each trojan alone; both
+    populations need at least two scores for the pooled sigma.  This is
+    the one characterisation every detector and campaign cell kind (EM,
+    delay, fault coverage) runs its per-die scores through.
+    """
+    genuine_fit = fit_gaussian(genuine_scores)
+    infected_means, infected_stds = fit_gaussians_batch(score_matrix)
+    mus = infected_means - genuine_fit.mean
+    sigmas = pooled_std_batch(genuine_scores, score_matrix)
+    rates = false_negative_rates(mus, sigmas)
+    return {
+        name: PopulationCharacterisation(
+            genuine=genuine_fit,
+            infected=GaussianFit(mean=float(infected_means[index]),
+                                 std=float(infected_stds[index])),
+            mu=float(mus[index]),
+            sigma=float(sigmas[index]),
+            false_negative_rate=float(rates[index]),
+        )
+        for index, name in enumerate(names)
+    }
+
+
 @dataclass
 class PopulationComparison:
     """Decision for one device against the golden population."""
@@ -270,41 +304,20 @@ class PopulationEMDetector:
 
         ``scores`` holds the infected populations' scores concatenated
         in ``names`` order.  In the study shape (every population one
-        score per die, at least two dies) all Gaussian fits, pooled
-        sigmas and Eq. (5) rates come out of the batched score-matrix
-        primitives; either path is bit-identical to
-        :meth:`characterise` on each trojan alone.
+        score per die, at least two dies) the whole study goes through
+        :func:`characterise_score_matrix`; either path is bit-identical
+        to :meth:`characterise` on each trojan alone.
         """
         genuine_scores = self.golden_scores()
         sizes = {matrix.shape[0] for matrix in matrices}
         if names and len(sizes) == 1 and min(sizes) >= 2 \
                 and genuine_scores.size >= 2:
-            genuine_fit = fit_gaussian(genuine_scores)
-            score_matrix = scores.reshape(len(names), -1)
-            infected_means, infected_stds = fit_gaussians_batch(score_matrix)
-            mus = infected_means - genuine_fit.mean
-            sigmas = pooled_std_batch(genuine_scores, score_matrix)
-            rates = false_negative_rates(mus, sigmas)
-            return {
-                name: PopulationCharacterisation(
-                    genuine=genuine_fit,
-                    infected=GaussianFit(mean=float(infected_means[index]),
-                                         std=float(infected_stds[index])),
-                    mu=float(mus[index]),
-                    sigma=float(sigmas[index]),
-                    false_negative_rate=float(rates[index]),
-                )
-                for index, name in enumerate(names)
-            }
-        characterisations: Dict[str, PopulationCharacterisation] = {}
-        begin = 0
-        for name, matrix in zip(names, matrices):
-            end = begin + matrix.shape[0]
-            characterisations[name] = self._characterise_scores(
-                scores[begin:end]
-            )
-            begin = end
-        return characterisations
+            return characterise_score_matrix(
+                names, genuine_scores, scores.reshape(len(names), -1))
+        bounds = np.cumsum([matrix.shape[0] for matrix in matrices])[:-1]
+        return {name: self._characterise_scores(population_scores)
+                for name, population_scores in zip(names,
+                                                   np.split(scores, bounds))}
 
     def characterise_many(self, infected_populations: "Dict[str, Sequence[TraceLike]]"
                           ) -> "Dict[str, PopulationCharacterisation]":

@@ -18,7 +18,7 @@ thin wrappers over this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -126,6 +126,29 @@ class PopulationTraceTensors:
     plaintext: bytes
     sample_period_ns: float
     cycle_sample_offsets: List[int]
+
+    @classmethod
+    def from_traces(cls, golden_traces: Sequence[EMTrace],
+                    infected_traces: Mapping[str, Sequence[EMTrace]]
+                    ) -> "PopulationTraceTensors":
+        """Stack per-die :class:`EMTrace` lists (a store hit) once.
+
+        The inverse of :meth:`to_traces`: every trace of one population
+        shares the stimulus, sampling grid and cycle offsets, so the
+        acquisition context is read off the first golden trace.
+        """
+        context = golden_traces[0]
+        return cls(
+            golden=stack_traces(golden_traces),
+            infected={name: stack_traces(traces)
+                      for name, traces in infected_traces.items()},
+            golden_labels=[trace.label for trace in golden_traces],
+            infected_labels={name: [trace.label for trace in traces]
+                             for name, traces in infected_traces.items()},
+            plaintext=context.plaintext,
+            sample_period_ns=context.sample_period_ns,
+            cycle_sample_offsets=list(context.cycle_sample_offsets),
+        )
 
     def _wrap(self, matrix: np.ndarray, labels: Sequence[str]
               ) -> List[EMTrace]:

@@ -176,16 +176,10 @@ class AESLastRoundCircuit:
     def evaluate(self, state_in: Sequence[int], round_key: Sequence[int]) -> bytes:
         """Compute the round output (ciphertext) for ``state_in`` and ``round_key``.
 
-        Runs on the compiled kernel; :meth:`evaluate_interpreted` is the
-        cell-by-cell reference it is tested against.
+        Runs on the compiled kernel; the cell-by-cell interpreted walk it
+        is tested against lives in ``tests/oracles/delay.py``.
         """
         return self.evaluate_batch([state_in], [round_key])[0]
-
-    def evaluate_interpreted(self, state_in: Sequence[int],
-                             round_key: Sequence[int]) -> bytes:
-        """Reference evaluation through the interpreted netlist walk."""
-        values = self.netlist.evaluate(self.input_values(state_in, round_key))
-        return net_values_to_block(values, ciphertext_d_net)
 
     def evaluate_batch(self, states_in: Sequence[Sequence[int]],
                        round_keys: Sequence[Sequence[int]]) -> List[bytes]:
@@ -193,7 +187,7 @@ class AESLastRoundCircuit:
 
         Conformance checks (and any caller sweeping stimuli) get the
         whole batch from a single levelised sweep of the compiled
-        netlist; each result is bit-identical to :meth:`evaluate_interpreted`.
+        netlist; each result is bit-identical to the interpreted walk.
         """
         if len(states_in) != len(round_keys):
             raise ValueError(

@@ -221,33 +221,28 @@ def unpack_population_traces(arrays: Mapping[str, np.ndarray]
 # -- delay payloads -----------------------------------------------------------
 
 
-def pack_delay_differences(golden_differences: Sequence[np.ndarray],
-                           infected_differences: Mapping[str,
-                                                         Sequence[np.ndarray]]
+def pack_delay_differences(golden_differences: np.ndarray,
+                           infected_differences: Mapping[str, np.ndarray]
                            ) -> Dict[str, np.ndarray]:
-    """Flatten the per-die Eq. (4) difference matrices into npz arrays."""
+    """Flatten stacked ``(dies, pairs, bits)`` Eq. (4) tensors into npz arrays."""
     arrays: Dict[str, np.ndarray] = {
         "groups": np.array(["golden"] + list(infected_differences)),
-        "golden::diff": np.stack([np.asarray(matrix)
-                                  for matrix in golden_differences]),
+        "golden::diff": np.ascontiguousarray(golden_differences),
     }
-    for name, matrices in infected_differences.items():
-        arrays[f"trojan::{name}::diff"] = np.stack(
-            [np.asarray(matrix) for matrix in matrices])
+    for name, tensor in infected_differences.items():
+        arrays[f"trojan::{name}::diff"] = np.ascontiguousarray(tensor)
     return arrays
 
 
 def unpack_delay_differences(arrays: Mapping[str, np.ndarray]
-                             ) -> Tuple[List[np.ndarray],
-                                        Dict[str, List[np.ndarray]]]:
+                             ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Inverse of :func:`pack_delay_differences`."""
     groups = [str(name) for name in arrays["groups"]]
-    golden_differences = [matrix.copy() for matrix in arrays["golden::diff"]]
     infected_differences = {
-        name: [matrix.copy() for matrix in arrays[f"trojan::{name}::diff"]]
+        name: arrays[f"trojan::{name}::diff"].copy()
         for name in groups if name != "golden"
     }
-    return golden_differences, infected_differences
+    return arrays["golden::diff"].copy(), infected_differences
 
 
 # -- fault-sweep payloads -----------------------------------------------------

@@ -23,11 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..crypto.state import BLOCK_BITS, BLOCK_BYTES, validate_block
 from ..netlist.netlist import Netlist
 
 
@@ -134,40 +131,6 @@ class HardwareTrojan:
         """
         raise NotImplementedError
 
-    def round_activity(self, state_before: Sequence[int],
-                       state_after: Sequence[int],
-                       encryption_index: int = 0,
-                       round_index: int = 0) -> TrojanActivity:
-        """Dormant switching activity over one host clock cycle.
-
-        Parameters
-        ----------
-        state_before, state_after:
-            Host state register content before/after the clock edge.
-        encryption_index:
-            Index of the encryption in the acquisition campaign (used by
-            sequential trojans whose counter advances per encryption).
-        round_index:
-            Round number within the encryption (1-based).
-        """
-        raise NotImplementedError
-
-    def encryption_activity(self, round_states: Sequence[bytes],
-                            encryption_index: int = 0) -> List[TrojanActivity]:
-        """Activity for every clock cycle of one encryption.
-
-        ``round_states`` is the sequence of state-register values over
-        the encryption (initial state then one entry per round); the
-        result has one entry per transition.
-
-        Concrete trojans override this with a compiled-kernel batch
-        (every cycle's netlist state evaluated in one array pass);
-        :meth:`encryption_activity_interpreted` remains the per-cycle
-        reference walk the overrides are tested against.
-        """
-        return self.encryption_activity_interpreted(round_states,
-                                                    encryption_index)
-
     def encryption_activity_counts(self, round_states: "object",
                                    encryption_indices: Optional[Sequence[int]]
                                    = None
@@ -182,84 +145,9 @@ class HardwareTrojan:
         ``(output_toggles, input_pin_toggles)`` int64 matrices of shape
         ``(num_encryptions, num_cycles)``.
 
-        The default implementation loops :meth:`encryption_activity`
-        per encryption and is the reference the vectorised overrides in
-        :mod:`repro.trojan.combinational` and
-        :mod:`repro.trojan.sequential` are tested against.
+        This is the one activity entry point of the EM simulator;
+        concrete trojans implement it with compiled-kernel batches (the
+        per-cycle interpreted walks it is tested against live in
+        ``tests/oracles/trojan.py``).
         """
-        states = np.ascontiguousarray(round_states, dtype=np.uint8)
-        if states.ndim != 3 or states.shape[2] != BLOCK_BYTES:
-            raise ValueError(
-                f"round_states must be (N, cycles + 1, {BLOCK_BYTES}), got "
-                f"{states.shape}"
-            )
-        num_encryptions = states.shape[0]
-        num_cycles = max(0, states.shape[1] - 1)
-        if encryption_indices is None:
-            encryption_indices = range(num_encryptions)
-        indices = list(encryption_indices)
-        if len(indices) != num_encryptions:
-            raise ValueError(
-                f"got {len(indices)} encryption indices for "
-                f"{num_encryptions} encryptions"
-            )
-        output_toggles = np.zeros((num_encryptions, num_cycles),
-                                  dtype=np.int64)
-        pin_toggles = np.zeros((num_encryptions, num_cycles), dtype=np.int64)
-        for row in range(num_encryptions):
-            activities = self.encryption_activity(
-                [bytes(state) for state in states[row]],
-                encryption_index=indices[row],
-            )
-            output_toggles[row] = [a.output_toggles for a in activities]
-            pin_toggles[row] = [a.input_pin_toggles for a in activities]
-        return output_toggles, pin_toggles
-
-    def encryption_activity_interpreted(self, round_states: Sequence[bytes],
-                                        encryption_index: int = 0
-                                        ) -> List[TrojanActivity]:
-        """Reference implementation: one interpreted walk per cycle."""
-        activities: List[TrojanActivity] = []
-        for cycle, (before, after) in enumerate(
-                zip(round_states[:-1], round_states[1:]), start=1):
-            activities.append(
-                self.round_activity(before, after,
-                                    encryption_index=encryption_index,
-                                    round_index=cycle)
-            )
-        return activities
-
-    # -- helpers for subclasses ------------------------------------------------
-
-    def _batched_toggle_counts(self, values: "object") -> List[TrojanActivity]:
-        """Toggle counts between consecutive rows of a compiled evaluation.
-
-        ``values`` is the ``(num_states, num_nets)`` matrix returned by
-        the compiled netlist for successive cycle states; entry ``i`` of
-        the result equals what :meth:`_netlist_toggle_counts` computes
-        for rows ``i`` and ``i + 1``.
-        """
-        output_toggles, pin_toggles = self.netlist.compiled().toggle_counts(
-            values
-        )
-        return [TrojanActivity(output_toggles=int(out), input_pin_toggles=int(pins))
-                for out, pins in zip(output_toggles, pin_toggles)]
-
-    def _netlist_toggle_counts(self, inputs_before: Mapping[str, int],
-                               inputs_after: Mapping[str, int],
-                               registers_before: Optional[Mapping[str, int]] = None,
-                               registers_after: Optional[Mapping[str, int]] = None
-                               ) -> TrojanActivity:
-        """Count output and input-pin toggles between two evaluations."""
-        values_before = self.netlist.evaluate(dict(inputs_before), registers_before)
-        values_after = self.netlist.evaluate(dict(inputs_after), registers_after)
-        output_toggles = 0
-        pin_toggles = 0
-        for cell in self.netlist.cells.values():
-            if values_before.get(cell.output) != values_after.get(cell.output):
-                output_toggles += 1
-            for net in cell.inputs:
-                if values_before.get(net) != values_after.get(net):
-                    pin_toggles += 1
-        return TrojanActivity(output_toggles=output_toggles,
-                              input_pin_toggles=pin_toggles)
+        raise NotImplementedError

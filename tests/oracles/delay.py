@@ -4,7 +4,9 @@ One :class:`~repro.netlist.timing.TimingEngine` walk per (DUT, pair),
 stimuli from one scalar ``AES.encrypt_trace`` per pair.  The compiled
 path (:meth:`PathDelayMeter.batch_arrival_times` and everything built on
 it) must match these arrival times, sweeps and steps-to-fault matrices
-bit for bit.
+bit for bit, and the compiled last-round circuit
+(:meth:`AESLastRoundCircuit.evaluate_batch`) must match
+:func:`round_output_interpreted`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,21 @@ from repro.measurement.delay_meter import (
     PlaintextKeyPair,
 )
 from repro.measurement.dut import DeviceUnderTest
+from repro.netlist.aes_round_circuit import (
+    AESLastRoundCircuit,
+    ciphertext_d_net,
+    net_values_to_block,
+)
 from repro.netlist.timing import TimingEngine
+
+
+def round_output_interpreted(circuit: AESLastRoundCircuit,
+                             state_in: Sequence[int],
+                             round_key: Sequence[int]) -> bytes:
+    """The circuit's round output through the interpreted netlist walk."""
+    values = circuit.netlist.evaluate(circuit.input_values(state_in,
+                                                           round_key))
+    return net_values_to_block(values, ciphertext_d_net)
 
 
 def timing_engine(dut: DeviceUnderTest) -> TimingEngine:

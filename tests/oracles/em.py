@@ -20,6 +20,8 @@ from repro.measurement.dut import DeviceUnderTest
 from repro.measurement.em_simulator import EMSimulator, EMTrace
 from repro.stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT
 
+from . import trojan as trojan_oracle
+
 
 def host_cycle_activities(simulator: EMSimulator, aes: AES,
                           plaintext: bytes) -> List[float]:
@@ -45,8 +47,8 @@ def trojan_cycle_activities(simulator: EMSimulator, dut: DeviceUnderTest,
         return [0.0] * num_cycles
     register_states: List[bytes] = [plaintext, trace.initial_state]
     register_states.extend(record.state_out for record in trace.rounds)
-    activities = dut.trojan.encryption_activity(
-        register_states, encryption_index=encryption_index
+    activities = trojan_oracle.encryption_activity(
+        dut.trojan, register_states, encryption_index=encryption_index
     )
     clock_load = config.trojan_clock_load_per_cell * dut.trojan.cell_count()
     return [clock_load + activity.weighted(config.trojan_pin_toggle_weight)

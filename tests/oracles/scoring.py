@@ -8,7 +8,11 @@
   of every metric's ``scores``;
 * :func:`faulted_bits_population_serial` — one scalar capture decision
   per entry, the reference of
-  :meth:`SetupViolationFaultModel.faulted_bits_population`.
+  :meth:`SetupViolationFaultModel.faulted_bits_population`;
+* :data:`DELAY_METRIC_SCORERS` / :func:`build_delay_scorer` — one
+  scalar score per device's ``(pairs, bits)`` difference matrix, the
+  reference of the campaign engine's
+  :data:`~repro.campaigns.engine.DELAY_METRIC_BATCH_SCORERS`.
 """
 
 from __future__ import annotations
@@ -130,3 +134,24 @@ def faulted_bits_population_serial(model: SetupViolationFaultModel,
         else:
             captured[index] = random_bits[index]
     return captured
+
+
+#: Per-device delay scorers over one ``(pairs, bits)`` Eq. (4)
+#: difference matrix, keyed by campaign-spec metric name.
+DELAY_METRIC_SCORERS = {
+    "delay_max_difference":
+        lambda differences: float(differences.max()),
+    "delay_mean_pair_max":
+        lambda differences: float(differences.max(axis=1).mean()),
+}
+
+
+def build_delay_scorer(name: str):
+    """Resolve a per-device delay scorer from its campaign-spec name."""
+    try:
+        return DELAY_METRIC_SCORERS[name]
+    except KeyError as exc:
+        raise KeyError(
+            f"unknown delay metric {name!r}; available: "
+            + ", ".join(DELAY_METRIC_SCORERS)
+        ) from exc

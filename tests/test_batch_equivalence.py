@@ -18,11 +18,11 @@ from repro.core.pipeline import HTDetectionPlatform, PlatformConfig
 from repro.crypto.batch import encrypt_round_states
 from repro.measurement.delay_meter import DelayMeasurementConfig, generate_pk_pairs
 from repro.stimulus import random_plaintexts
-from repro.trojan.base import HardwareTrojan
 from repro.trojan.library import available_trojans, build_trojan
 from tests.oracles import delay as delay_oracle
 from tests.oracles import em as em_oracle
-from tests.oracles.scoring import scores_serial
+from tests.oracles import trojan as trojan_oracle
+from tests.oracles.scoring import build_delay_scorer, scores_serial
 
 NUM_DIES = 3
 PLAINTEXT = bytes(range(16))
@@ -189,7 +189,7 @@ def test_encryption_activity_counts_match_reference_loop(device,
     trojan = build_trojan(trojan_name, device)
     states = encrypt_round_states(STIMULI, KEY)
     indices = [0, 3, 1, 255]
-    reference = HardwareTrojan.encryption_activity_counts(
+    reference = trojan_oracle.encryption_activity_counts_loop(
         trojan, states, indices
     )
     batched = trojan.encryption_activity_counts(states, indices)
@@ -447,7 +447,6 @@ def test_campaign_delay_rows_match_serial_scoring(batch_platform):
     """Delay cells' batched scorers equal the per-die serial scorers."""
     from repro.analysis.gaussian import fit_gaussian, pooled_std
     from repro.campaigns import CampaignEngine, CampaignSpec
-    from repro.campaigns.engine import build_delay_scorer
     from repro.core.metrics import false_negative_rate
 
     spec = CampaignSpec(

@@ -126,19 +126,40 @@ def test_engine_runs_every_cell(small_campaign):
             )
 
 
-def test_engine_shares_infected_designs_and_acquisitions(small_campaign):
-    engine, _ = small_campaign
+def test_engine_shares_infected_designs_and_acquisitions(small_campaign,
+                                                        monkeypatch):
+    from repro.core.pipeline import HTDetectionPlatform
+    from repro.measurement.em_simulator import EMTrace
+
+    engine, result = small_campaign
     # one insertion per trojan for the whole grid
     assert set(engine._infected_cache) == {"HT1", "HT3"}
+    for cell in engine._platform_cache.values():
+        assert cell.golden is engine.golden
     # cells differing only in metric share one acquisition; without a
     # store or trace archiving the populations stay tensor-resident
     # (no EMTrace objects are ever built)
-    assert len(engine._tensor_cache) == 2
-    assert len(engine._matrix_cache) == 2
-    assert len(engine._acquisition_cache) == 0
-    # bigger trojan is easier to catch under every scenario
-    for cell in engine._platform_cache.values():
-        assert cell.golden is engine.golden
+    acquisitions = []
+    traces_built = []
+    original_acquire = HTDetectionPlatform.acquire_population_tensors
+    original_init = EMTrace.__init__
+
+    def counting_acquire(self, *args, **kwargs):
+        acquisitions.append(self.config.num_dies)
+        return original_acquire(self, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        traces_built.append(1)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HTDetectionPlatform, "acquire_population_tensors",
+                        counting_acquire)
+    monkeypatch.setattr(EMTrace, "__init__", counting_init)
+    rerun = CampaignEngine(engine.spec, golden=engine.golden).run()
+    assert [cell.rows for cell in rerun.cells] == \
+        [cell.rows for cell in result.cells]
+    assert len(acquisitions) == 2
+    assert traces_built == []
 
 
 def test_larger_trojan_detected_more_reliably(small_campaign):
@@ -227,13 +248,57 @@ def test_delay_cells_execute_end_to_end(delay_campaign):
             assert row.sigma >= 0.0
 
 
-def test_delay_cells_share_one_measurement(delay_campaign):
-    engine, _ = delay_campaign
+def test_delay_cells_share_one_measurement(delay_campaign, monkeypatch):
+    from repro.measurement.delay_meter import PathDelayMeter
+
+    engine, result = delay_campaign
     # Both metrics re-score the same cached difference matrices.
-    assert list(engine._delay_cache) == [3]
-    data = engine._delay_cache[3]
-    assert len(data.golden_differences) == 3
-    assert set(data.infected_differences) == {"HT_comb", "HT_seq"}
+    first, second = (engine.delay_study_data(cell)
+                     for cell in engine.spec.grid())
+    assert first is second
+    assert len(first.golden_differences) == 3
+    assert set(first.infected_differences) == {"HT_comb", "HT_seq"}
+    # A fresh run measures once per die count: the golden fingerprint
+    # plus one batched call over every device.
+    measured = []
+    original = PathDelayMeter.measure_batch
+
+    def counting(self, duts, *args, **kwargs):
+        measured.append(len(duts))
+        return original(self, duts, *args, **kwargs)
+
+    monkeypatch.setattr(PathDelayMeter, "measure_batch", counting)
+    rerun = CampaignEngine(engine.spec, golden=engine.golden).run()
+    assert [cell.rows for cell in rerun.cells] == \
+        [cell.rows for cell in result.cells]
+    assert measured == [1, 3 * (1 + len(engine.spec.trojans))]
+
+
+def test_delay_and_fault_cells_annotate_each_device_once(golden_design,
+                                                        monkeypatch):
+    """Delay and fault cells of one die count share one device list, so
+    each (die, design) builds its intra-die field once; the extra build
+    is the golden die-0 fingerprint (label ``"GM"``)."""
+    from repro.variation.intra_die import IntraDieVariation
+
+    calls = []
+    original = IntraDieVariation.offsets_for
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.seed)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntraDieVariation, "offsets_for", counting)
+    spec = CampaignSpec(
+        name="shared-devices", trojans=("HT1", "HT_seq"), die_counts=(3,),
+        metrics=("delay_max_difference", "fault_coverage"), seed=23,
+        num_pk_pairs=2, delay_repetitions=2, num_plaintexts=2,
+    )
+    result = CampaignEngine(spec, golden=golden_design).run()
+    assert [cell.metric for cell in result.cells] == [
+        "delay_max_difference", "fault_coverage"]
+    num_dies = spec.die_counts[0]
+    assert len(calls) == num_dies * (1 + len(spec.trojans)) + 1
 
 
 def test_delay_cell_detects_the_tapping_trojan(delay_campaign):
@@ -293,7 +358,7 @@ def test_delay_metrics_not_crossed_with_em_variants():
 
 
 def test_build_delay_scorer_rejects_unknown_names():
-    from repro.campaigns import build_delay_scorer
+    from repro.campaigns.engine import build_delay_batch_scorer
 
     with pytest.raises(KeyError, match="delay_max_difference"):
-        build_delay_scorer("nope")
+        build_delay_batch_scorer("nope")

@@ -5,7 +5,8 @@
   ``src/`` cannot silently break ``perfbench/run.py --trace 1``.
 * Each kernel has one production path: serial and interpreted
   references live in ``tests/oracles``, so no ``src/repro`` module may
-  define a public ``*_serial`` name or import the oracles.
+  define a public ``*_serial`` name, any ``*_interpreted`` name or the
+  per-device ``DELAY_METRIC_SCORERS``, or import the oracles.
 * Production modules do not import the test harness: nothing under
   ``repro.store`` or ``repro.campaigns`` imports ``repro.testing``, at
   any level (function-local, ``TYPE_CHECKING`` or relative imports
@@ -61,7 +62,7 @@ def test_every_tracer_target_resolves():
     assert engine.DELAY_METRIC_BATCH_SCORERS
 
 
-def _public_serial_names(tree: ast.Module):
+def _defined_names(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -80,7 +81,7 @@ def test_no_serial_twins_or_oracle_imports_in_package():
         name = path.relative_to(PACKAGE)
         tree = ast.parse(path.read_text(), filename=str(path))
         twins = sorted(
-            symbol for symbol in _public_serial_names(tree)
+            symbol for symbol in _defined_names(tree)
             if symbol.endswith("_serial") and not symbol.startswith("_")
             and symbol not in PRODUCTION_SERIAL_NAMES)
         if twins:
@@ -95,6 +96,24 @@ def test_no_serial_twins_or_oracle_imports_in_package():
             if any(module == "tests" or module.startswith("tests.")
                    for module in modules):
                 problems.append(f"{name} imports the test oracles")
+    assert not problems, "; ".join(problems)
+
+
+#: Reference twins, by exact name, that must stay in ``tests/oracles``.
+ORACLE_ONLY_NAMES = {"DELAY_METRIC_SCORERS"}
+
+
+def test_no_interpreted_twins_in_package():
+    problems = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        twins = sorted({
+            symbol for symbol in _defined_names(tree)
+            if symbol.endswith("_interpreted")
+            or symbol in ORACLE_ONLY_NAMES})
+        if twins:
+            problems.append(f"{path.relative_to(PACKAGE)} defines "
+                            f"reference twins {twins}")
     assert not problems, "; ".join(problems)
 
 

@@ -19,6 +19,8 @@ from repro.netlist.compiled import CompiledNetlist, CompiledTimingEngine
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.netlist.timing import DelayAnnotation, TimingEngine
 from repro.trojan.library import available_trojans, build_trojan
+from tests.oracles import delay as delay_oracle
+from tests.oracles import trojan as trojan_oracle
 
 pytestmark = []
 
@@ -81,7 +83,8 @@ def test_circuit_evaluate_batch_matches_interpreted(circuit):
             for _ in range(8)]
     batch = circuit.evaluate_batch(states, keys)
     for state, key, result in zip(states, keys, batch):
-        assert result == circuit.evaluate_interpreted(state, key)
+        assert result == delay_oracle.round_output_interpreted(circuit, state,
+                                                               key)
         assert result == circuit.evaluate(state, key)
 
 
@@ -200,11 +203,11 @@ def test_encryption_activity_matches_interpreted(trojans, trojan_name):
     states = [bytes(int(x) for x in rng.integers(0, 256, 16))
               for _ in range(12)]
     for encryption_index in (0, 3, 1023):
-        reference = trojan.encryption_activity_interpreted(
-            states, encryption_index=encryption_index
+        reference = trojan_oracle.encryption_activity_interpreted(
+            trojan, states, encryption_index=encryption_index
         )
-        assert trojan.encryption_activity(
-            states, encryption_index=encryption_index
+        assert trojan_oracle.encryption_activity(
+            trojan, states, encryption_index=encryption_index
         ) == reference
 
 

@@ -154,13 +154,15 @@ def test_population_trace_payload_round_trip():
 
 def test_delay_difference_payload_round_trip():
     rng = np.random.default_rng(8)
-    golden = [rng.normal(size=(3, 8)) for _ in range(2)]
-    infected = {"HT_comb": [rng.normal(size=(3, 8)) for _ in range(2)]}
+    golden = rng.normal(size=(2, 3, 8))
+    infected = {"HT_comb": rng.normal(size=(2, 3, 8))}
     golden_back, infected_back = unpack_delay_differences(
         pack_delay_differences(golden, infected)
     )
-    for original, loaded in zip(golden + infected["HT_comb"],
-                                golden_back + infected_back["HT_comb"]):
+    assert set(infected_back) == set(infected)
+    for original, loaded in ((golden, golden_back),
+                             (infected["HT_comb"], infected_back["HT_comb"])):
+        assert loaded.shape == original.shape
         assert np.array_equal(original, loaded)
 
 

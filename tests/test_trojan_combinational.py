@@ -9,6 +9,7 @@ from repro.trojan.combinational import (
     build_combinational_trojan,
     default_scanned_bits,
 )
+from tests.oracles import trojan as trojan_oracle
 
 
 def test_default_scanned_bits():
@@ -71,17 +72,18 @@ def test_tap_values_follow_state_bits(small_trojan):
 
 
 def test_round_activity_counts_toggles(small_trojan):
-    quiet = small_trojan.round_activity(bytes(16), bytes(16))
+    quiet = trojan_oracle.round_activity(small_trojan, bytes(16), bytes(16))
     assert quiet.output_toggles == 0
     assert quiet.input_pin_toggles == 0
-    busy = small_trojan.round_activity(bytes(16), bytes([0xFF] * 16))
+    busy = trojan_oracle.round_activity(small_trojan, bytes(16),
+                                        bytes([0xFF] * 16))
     assert busy.input_pin_toggles >= 8
     assert busy.weighted() > 0
 
 
 def test_encryption_activity_length(small_trojan):
     states = [bytes([k] * 16) for k in range(5)]
-    activities = small_trojan.encryption_activity(states)
+    activities = trojan_oracle.encryption_activity(small_trojan, states)
     assert len(activities) == 4
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.trojan.base import NO_ACTIVITY, TrojanKind
 from repro.trojan.sequential import SequentialTrojan, build_sequential_trojan
+from tests.oracles import trojan as trojan_oracle
 
 
 def test_kind_and_structure(sequential_trojan):
@@ -67,20 +68,24 @@ def test_counter_holds_without_increment(sequential_trojan):
 
 
 def test_round_activity_only_at_increment_round(sequential_trojan):
-    silent = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                              encryption_index=5, round_index=3)
+    silent = trojan_oracle.round_activity(sequential_trojan, bytes(16),
+                                          bytes(16), encryption_index=5,
+                                          round_index=3)
     assert silent == NO_ACTIVITY
-    active = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                              encryption_index=5, round_index=10)
+    active = trojan_oracle.round_activity(sequential_trojan, bytes(16),
+                                          bytes(16), encryption_index=5,
+                                          round_index=10)
     assert active.output_toggles > 0
 
 
 def test_activity_larger_on_carry_chains(sequential_trojan):
     """Incrementing 0b0111...1 flips many bits; incrementing an even value flips one."""
-    few = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                           encryption_index=0, round_index=10)
-    many = sequential_trojan.round_activity(bytes(16), bytes(16),
-                                            encryption_index=127, round_index=10)
+    few = trojan_oracle.round_activity(sequential_trojan, bytes(16),
+                                       bytes(16), encryption_index=0,
+                                       round_index=10)
+    many = trojan_oracle.round_activity(sequential_trojan, bytes(16),
+                                        bytes(16), encryption_index=127,
+                                        round_index=10)
     assert many.output_toggles > few.output_toggles
 
 
