@@ -61,7 +61,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from ..backend import use_backend
 from ..core.delay_detector import DelayDetector
 from ..core.em_detector import (
     PopulationCharacterisation,
@@ -836,18 +835,10 @@ class CampaignEngine:
     # -- execution ----------------------------------------------------------------
 
     def run_cell(self, cell: GridCell) -> CampaignCellResult:
-        """Execute one grid cell (EM acquisition, delay study or fault sweep).
-
-        The cell runs under the spec's ``kernel_backend``
-        (:mod:`repro.backend`): every hot kernel beneath it — netlist
-        evaluation for trojan activity, the timing sweeps, toggle
-        counting — dispatches through the seam, with results
-        bit-identical to the default ``numpy`` backend.
-        """
-        with use_backend(self.spec.kernel_backend):
-            if cell.is_delay or cell.is_fault:
-                return self._run_scored_cell(cell)
-            return self._run_em_cell(cell)
+        """Execute one grid cell (EM acquisition, delay study or fault sweep)."""
+        if cell.is_delay or cell.is_fault:
+            return self._run_scored_cell(cell)
+        return self._run_em_cell(cell)
 
     def _cell_result(self, cell: GridCell,
                      characterisations: Mapping[str,

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..backend import known_backend_names
 from ..measurement.em_simulator import EMAcquisitionConfig
 from ..stimulus import DEFAULT_KEY, DEFAULT_PLAINTEXT, campaign_stimuli
 from ..trojan.library import TROJAN_SPECS
@@ -56,6 +56,22 @@ KNOWN_FAULT_METRICS = ("fault_coverage",)
 #: All metric names accepted by ``CampaignSpec.metrics``.
 KNOWN_METRICS = KNOWN_EM_METRICS + KNOWN_DELAY_METRICS + KNOWN_FAULT_METRICS
 
+#: Values of the retired ``kernel_backend`` spec field.  Specs and shard
+#: results saved while it existed still carry it; :meth:`CampaignSpec.from_dict`
+#: drops it so they keep loading and merging.
+LEGACY_KERNEL_BACKENDS = ("numpy", "bitslice")
+
+#: Spec fields that hold sequences (a bare string is rejected, not split
+#: into characters) and fields that must hold integers.
+_SEQUENCE_FIELDS = ("trojans", "die_counts", "variants", "metrics",
+                    "glitch_offsets_ps", "glitch_widths_ps",
+                    "glitch_periods_ps")
+_INTEGER_FIELDS = ("seed", "workers", "max_retries", "num_pk_pairs",
+                   "delay_repetitions", "num_plaintexts")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def apply_em_overrides(config: EMAcquisitionConfig,
@@ -187,13 +203,6 @@ class CampaignSpec:
     max_retries: int = 2
     cell_timeout_s: Optional[float] = None
     retry_backoff_s: float = 0.5
-    #: Array/kernel backend the engine activates while executing each
-    #: cell (:mod:`repro.backend`): ``"numpy"`` (default, the pinned
-    #: uint8 reference kernel), ``"bitslice"`` (uint64 bitplane netlist
-    #: kernel) or any registered accelerator backend.  Execution-only:
-    #: every backend is bit-identical to numpy, so the field never
-    #: enters store content keys and a warm store stays warm.
-    kernel_backend: str = "numpy"
     #: Delay-study campaign sizes (used by ``delay_*`` metric cells).
     num_pk_pairs: int = 4
     delay_repetitions: int = 3
@@ -212,6 +221,20 @@ class CampaignSpec:
     glitch_periods_ps: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in _SEQUENCE_FIELDS:
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a list, not the bare "
+                                 f"string {getattr(self, name)!r}")
+        for name in _INTEGER_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
+        if not all(map(_is_int, self.die_counts)):
+            raise ValueError(f"die_counts must be integers, got "
+                             f"{list(self.die_counts)!r}")
+        if not isinstance(self.save_traces, bool):
+            raise ValueError(
+                f"save_traces must be true or false, got {self.save_traces!r}")
         self.trojans = tuple(self.trojans)
         self.die_counts = tuple(int(count) for count in self.die_counts)
         self.variants = tuple(self.variants)
@@ -255,12 +278,6 @@ class CampaignSpec:
                                  "to disable the per-cell timeout)")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        self.kernel_backend = str(self.kernel_backend)
-        if self.kernel_backend not in known_backend_names():
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                "registered: " + ", ".join(known_backend_names())
-            )
         if self.num_pk_pairs < 1:
             raise ValueError("num_pk_pairs must be >= 1")
         if self.delay_repetitions < 1:
@@ -370,7 +387,6 @@ class CampaignSpec:
             "max_retries": self.max_retries,
             "cell_timeout_s": self.cell_timeout_s,
             "retry_backoff_s": self.retry_backoff_s,
-            "kernel_backend": self.kernel_backend,
             "num_pk_pairs": self.num_pk_pairs,
             "delay_repetitions": self.delay_repetitions,
             "num_plaintexts": self.num_plaintexts,
@@ -382,6 +398,8 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
         kwargs: Dict[str, Any] = dict(payload)
+        if kwargs.get("kernel_backend") in LEGACY_KERNEL_BACKENDS:
+            del kwargs["kernel_backend"]
         if "variants" in kwargs:
             kwargs["variants"] = tuple(
                 AcquisitionVariant.make(entry["name"],

@@ -44,13 +44,13 @@ paths) and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .backend import known_backend_names
 from .campaigns.spec import KNOWN_METRICS
 from .core.report import (
     delay_study_report,
@@ -164,37 +164,39 @@ def _parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
+def _given(overrides: dict) -> dict:
+    """The command-line spec overrides the user actually passed."""
+    return {name: value for name, value in overrides.items()
+            if value is not None}
+
+
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaigns import AcquisitionVariant, CampaignEngine, CampaignSpec
 
-    if args.spec is not None:
-        spec = CampaignSpec.load(args.spec)
-    else:
-        spec = CampaignSpec(
-            name=args.name,
-            trojans=tuple(args.trojan or ("HT1", "HT2", "HT3")),
-            die_counts=tuple(args.dies or (8,)),
-            variants=(AcquisitionVariant.make("paper"),),
-            metrics=tuple(args.metric or ("local_maxima_sum",)),
-        )
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.workers is not None:
-        spec.workers = args.workers
-    if args.pk_pairs is not None:
-        spec.num_pk_pairs = args.pk_pairs
-    if args.delay_repetitions is not None:
-        spec.delay_repetitions = args.delay_repetitions
-    if args.plaintexts is not None:
-        spec.num_plaintexts = args.plaintexts
-    if args.backend is not None:
-        spec.kernel_backend = args.backend
-    if args.save_traces:
-        spec.save_traces = True
-    if args.retries is not None:
-        spec.max_retries = args.retries
-    if args.cell_timeout is not None:
-        spec.cell_timeout_s = args.cell_timeout
+    overrides = _given({
+        "seed": args.seed, "workers": args.workers,
+        "num_pk_pairs": args.pk_pairs,
+        "delay_repetitions": args.delay_repetitions,
+        "num_plaintexts": args.plaintexts, "max_retries": args.retries,
+        "cell_timeout_s": args.cell_timeout,
+        "save_traces": args.save_traces or None,
+    })
+    try:
+        if args.spec is not None:
+            spec = CampaignSpec.load(args.spec)
+        else:
+            spec = CampaignSpec(
+                name=args.name,
+                trojans=tuple(args.trojan or ("HT1", "HT2", "HT3")),
+                die_counts=tuple(args.dies or (8,)),
+                variants=(AcquisitionVariant.make("paper"),),
+                metrics=tuple(args.metric or ("local_maxima_sum",)),
+            )
+        # Rebuilt, not mutated: validation runs on the values used.
+        spec = dataclasses.replace(spec, **overrides)
+    except (FileNotFoundError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if spec.save_traces and args.out is None:
         print("error: --save-traces needs --out DIR to write the archives to",
               file=sys.stderr)
@@ -401,7 +403,7 @@ def _attack_spec(args: argparse.Namespace):
     """
     from .campaigns import AcquisitionVariant, CampaignSpec
 
-    spec = CampaignSpec(
+    return CampaignSpec(
         name=args.name,
         trojans=tuple(args.trojan or ("HT1",)),
         die_counts=tuple(args.dies or (3,)),
@@ -411,22 +413,21 @@ def _attack_spec(args: argparse.Namespace):
         glitch_offsets_ps=tuple(args.offset or ()),
         glitch_widths_ps=tuple(args.width or ()),
         glitch_periods_ps=tuple(args.period or ()),
+        **_given({"seed": args.seed}),
     )
-    if args.seed is not None:
-        spec.seed = args.seed
-    return spec
 
 
 def cmd_attack_sweep(args: argparse.Namespace) -> int:
     from .campaigns import CampaignEngine
 
-    spec = _attack_spec(args)
-    if args.workers is not None:
-        spec.workers = args.workers
-    if args.retries is not None:
-        spec.max_retries = args.retries
-    if args.cell_timeout is not None:
-        spec.cell_timeout_s = args.cell_timeout
+    try:
+        spec = dataclasses.replace(_attack_spec(args), **_given({
+            "workers": args.workers, "max_retries": args.retries,
+            "cell_timeout_s": args.cell_timeout,
+        }))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     engine = CampaignEngine(spec, store=args.store)
     result = engine.run(artifact_dir=args.out, shard=args.shard)
     print(result.report())
@@ -449,7 +450,11 @@ def cmd_attack_recover(args: argparse.Namespace) -> int:
     from .campaigns import CampaignEngine
     from .crypto.keyschedule import last_round_key
 
-    spec = _attack_spec(args)
+    try:
+        spec = _attack_spec(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     engine = CampaignEngine(spec, store=args.store)
     cell = next(cell for cell in spec.grid() if cell.is_fault)
     data = engine.fault_sweep_data(cell)
@@ -563,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="EM stimulus diversity: 1 fixed plaintext "
                             "(paper), N sweeps N-1 extra random plaintexts "
                             "through the batched stimulus kernel")
-    p_run.add_argument("--backend", default=None,
-                       choices=list(known_backend_names()),
-                       help="array/kernel backend for cell execution "
-                            "(bit-identical results; 'bitslice' packs 64 "
-                            "stimuli per uint64 word; default numpy)")
     p_run.add_argument("--workers", type=int, default=None,
                        help="supervised worker processes for independent "
                             "grid cells")

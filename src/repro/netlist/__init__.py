@@ -23,7 +23,6 @@ from .cells import (
     make_mux2,
     make_xor,
 )
-from .bitslice import BitslicedNetlist, pack_bits, unpack_words
 from .compiled import CompiledNetlist, CompiledTimingEngine
 from .netlist import Netlist, NetlistError
 from .sbox_circuit import build_sbox_netlist, evaluate_sbox_netlist
@@ -54,9 +53,6 @@ __all__ = [
     "make_lut",
     "make_mux2",
     "make_xor",
-    "BitslicedNetlist",
-    "pack_bits",
-    "unpack_words",
     "CompiledNetlist",
     "CompiledTimingEngine",
     "Netlist",

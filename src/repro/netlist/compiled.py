@@ -20,6 +20,10 @@ at once*:
   vectors so a single pass covers every (stimulus pair, die)
   combination of a delay campaign.
 
+The ``uint8`` sweep is the only netlist-evaluation kernel: campaign
+callers evaluate at most a few hundred vectors per call, too few for a
+packed 64-vectors-per-word kernel to repay its pack/unpack boundary.
+
 Both kernels are **bit-identical** to the interpreted walks in
 :mod:`repro.netlist.netlist` and :mod:`repro.netlist.timing` (the same
 float operations are applied in an order whose result is unchanged);
@@ -40,7 +44,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import active_backend
 from .cells import Cell, CellType
 from .netlist import Netlist, NetlistError
 from .timing import DelayAnnotation, TwoVectorResult
@@ -286,32 +289,6 @@ class CompiledNetlist:
         -------
         ``(num_vectors, num_nets)`` uint8 matrix; columns follow
         :attr:`net_names`.
-
-        The sweep itself dispatches on the active
-        :mod:`repro.backend`: the default ``numpy`` backend runs the
-        uint8 lane kernel (:meth:`_sweep`, the pinned reference), a
-        backend with ``bitslice=True`` routes through the packed uint64
-        bitplane kernel (:mod:`repro.netlist.bitslice`) — bit-identical
-        results either way.
-        """
-        state = self._prepare_state(input_rows, input_nets,
-                                    register_rows, register_nets)
-        backend = active_backend()
-        if backend.bitslice:
-            return self.bitsliced().evaluate_state(state, xp=backend.xp)
-        self._sweep(state)
-        return state[:, : self.num_nets]
-
-    def _prepare_state(self, input_rows: np.ndarray,
-                       input_nets: Optional[Sequence[str]] = None,
-                       register_rows: Optional[np.ndarray] = None,
-                       register_nets: Optional[Sequence[str]] = None
-                       ) -> np.ndarray:
-        """Validate a stimulus batch and build the padded value matrix.
-
-        Returns the ``(num_vectors, num_nets + 1)`` uint8 state with
-        input, constant and register planes written — the matrix both
-        sweep kernels (uint8 lanes and uint64 bitplanes) consume.
         """
         input_rows = np.ascontiguousarray(input_rows, dtype=np.uint8) & 1
         if input_rows.ndim != 2:
@@ -383,7 +360,8 @@ class CompiledNetlist:
             )
             if reg_cols.size:
                 state[:, reg_cols] = register_rows[:, reg_known]
-        return state
+        self._sweep(state)
+        return state[:, : self.num_nets]
 
     @cached_property
     def _level_widths_arities(self) -> List[Tuple[int, int]]:
@@ -429,20 +407,6 @@ class CompiledNetlist:
             np.add(level_address, self.table_offset[start:end][None, :],
                    out=level_address)
             state[:, self.output_idx[start:end]] = self.tables[level_address]
-
-    def bitsliced(self) -> "BitslicedNetlist":
-        """The uint64 bitplane lowering of this netlist (cached).
-
-        Lowered lazily on first use (the bitslice backend's dispatch or
-        a direct caller) and cached on the instance, mirroring
-        :meth:`Netlist.compiled`.
-        """
-        cached = self.__dict__.get("_bitsliced_cache")
-        if cached is None:
-            from .bitslice import BitslicedNetlist
-            cached = BitslicedNetlist.from_compiled(self)
-            self.__dict__["_bitsliced_cache"] = cached
-        return cached
 
     def evaluate(self, input_values: Mapping[str, int],
                  register_values: Optional[Mapping[str, int]] = None

@@ -158,12 +158,10 @@ def cell_result_key(*, device: Any, golden: Any,
 #: rows contain; they are excluded from content keys.  The supervisor's
 #: fault-tolerance knobs (retries, timeout, backoff) belong here: a
 #: campaign rerun with a longer timeout must hit the artifacts the
-#: impatient run already computed.  ``kernel_backend`` too: every
-#: backend (:mod:`repro.backend`) is bit-identical to numpy, so a
-#: bitsliced rerun must hit the artifacts the numpy run computed.
+#: impatient run already computed.
 EXECUTION_ONLY_SPEC_FIELDS = ("name", "workers", "save_traces",
                               "max_retries", "cell_timeout_s",
-                              "retry_backoff_s", "kernel_backend")
+                              "retry_backoff_s")
 
 
 def spec_content_fragment(spec_payload: Mapping[str, Any]) -> Dict[str, Any]:

@@ -15,6 +15,7 @@ from repro.campaigns import (
     merge_campaign_results,
 )
 from repro.cli import main
+from repro.store import spec_content_fragment
 from repro.testing import FaultInjection, FaultKind, FaultPlan
 
 
@@ -165,8 +166,7 @@ def test_cli_shard_run_and_merge_round_trip(tmp_path, capsys):
     store = str(tmp_path / "store")
     common = ["campaign", "run", "--name", "cliq", "--trojan", "HT1",
               "--dies", "3", "--metric", "local_maxima_sum", "--metric",
-              "l1", "--seed", "4", "--store", store,
-              "--backend", "bitslice"]
+              "l1", "--seed", "4", "--store", store]
     assert main(common + ["--shard", "0/2",
                           "--out", str(tmp_path / "shard0")]) == 0
     assert main(common + ["--shard", "1/2",
@@ -185,6 +185,38 @@ def test_cli_shard_run_and_merge_round_trip(tmp_path, capsys):
     assert [row.to_dict() for row in
             CampaignResult.from_dict(merged_payload).rows()] == \
         [row.to_dict() for row in unsharded.rows()]
+
+
+@pytest.mark.parametrize("legacy_backend", ["numpy", "bitslice"])
+def test_legacy_kernel_backend_shard_merges_with_current_shard(
+        tmp_path, capsys, shard_spec, golden_design, unsharded_rows,
+        legacy_backend):
+    """A shard saved while specs carried ``kernel_backend`` still merges.
+
+    The legacy shard's ``campaign.json`` is the current payload plus the
+    retired key; ``campaign merge`` fuses it with a current shard into
+    the unsharded rows, and both shards share one content fragment.
+    """
+    legacy = CampaignEngine(shard_spec, golden=golden_design).run(
+        shard=(0, 2)).to_dict()
+    legacy["spec"]["kernel_backend"] = legacy_backend
+    legacy_path = tmp_path / "legacy" / f"{shard_spec.name}.json"
+    legacy_path.parent.mkdir()
+    legacy_path.write_text(json.dumps(legacy))
+    current = CampaignEngine(shard_spec, golden=golden_design).run(
+        shard=(1, 2))
+    current.save(tmp_path / "current")
+
+    assert main(["campaign", "merge", str(legacy_path.parent),
+                 str(tmp_path / "current"),
+                 "--out", str(tmp_path / "merged")]) == 0
+    capsys.readouterr()
+    merged = CampaignResult.from_dict(json.loads(
+        (tmp_path / "merged" / f"{shard_spec.name}.json").read_text()))
+    assert [row.to_dict() for row in merged.rows()] == unsharded_rows
+    assert spec_content_fragment(
+        CampaignResult.from_dict(legacy).spec.to_dict()) == \
+        spec_content_fragment(current.spec.to_dict())
 
 
 def test_cli_merge_errors_on_incomplete_shards(tmp_path, capsys):

@@ -70,6 +70,35 @@ def test_spec_rejects_invalid_configurations(bad_kwargs):
         CampaignSpec(**bad_kwargs)
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"trojans": "HT1"}, "trojans"),
+    ({"workers": "2"}, "workers"),
+    ({"max_retries": None}, "max_retries"),
+    ({"num_pk_pairs": 1.5}, "num_pk_pairs"),
+    ({"save_traces": "no"}, "save_traces"),
+])
+def test_spec_from_dict_rejects_mistyped_fields(payload, field):
+    """Wrong JSON types fail with a ValueError naming the field instead
+    of being split, coerced, accepted or raising a TypeError."""
+    with pytest.raises(ValueError, match=field):
+        CampaignSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "bitslice"])
+def test_spec_from_dict_drops_legacy_kernel_backend(backend):
+    spec = CampaignSpec(trojans=("HT1",), die_counts=(2,))
+    loaded = CampaignSpec.from_dict(
+        {**spec.to_dict(), "kernel_backend": backend})
+    assert loaded == spec
+
+
+def test_spec_from_dict_rejects_other_kernel_backend_values():
+    with pytest.raises(ValueError,
+                       match=r"unknown campaign spec field\(s\) "
+                             r"\['kernel_backend'\]"):
+        CampaignSpec.from_dict({"kernel_backend": "vulkan"})
+
+
 def test_apply_em_overrides_nested_and_flat():
     config = apply_em_overrides(
         EMAcquisitionConfig(),

@@ -13,6 +13,8 @@
   included).
 * Every store declares the same surface, so campaign code never probes
   a store with ``hasattr``.
+* Netlist evaluation has one kernel: no ``repro.backend`` seam, no
+  ``bitslice`` module and no name that would select between kernels.
 """
 
 from __future__ import annotations
@@ -166,4 +168,44 @@ def test_store_and_campaigns_do_not_import_the_test_harness():
 
 def test_campaigns_never_probe_a_store_with_hasattr():
     problems = list(_store_hasattr_calls(PACKAGE / "campaigns"))
+    assert not problems, "; ".join(problems)
+
+
+#: Names of the retired user-selected kernel fork.
+KERNEL_FORK_NAMES = {"use_backend", "active_backend", "kernel_backend"}
+
+
+def _identifiers(tree: ast.Module):
+    """Every identifier ``tree`` defines, reads, imports or passes."""
+    yield from _defined_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_netlist_evaluation_has_no_kernel_fork():
+    problems = []
+    if (PACKAGE / "backend").exists():
+        problems.append("repro/backend exists")
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = path.relative_to(PACKAGE)
+        if "bitslice" in path.stem:
+            problems.append(f"{name} is a bitslice module")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module in _imported_modules(path, tree):
+            if (module == "repro.backend"
+                    or module.startswith("repro.backend.")
+                    or "bitslice" in module.split(".")):
+                problems.append(f"{name} imports {module}")
+        fork_names = sorted(KERNEL_FORK_NAMES & set(_identifiers(tree)))
+        if fork_names:
+            problems.append(f"{name} uses {fork_names}")
     assert not problems, "; ".join(problems)

@@ -151,11 +151,6 @@ def test_cli_parser_campaign_store_and_shard_flags():
                               "--shard", "1/4"])
     assert args.store == "artifacts"
     assert args.shard == (1, 4)
-    assert args.backend is None
-    args = parser.parse_args(["campaign", "run", "--backend", "bitslice"])
-    assert args.backend == "bitslice"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["campaign", "run", "--backend", "vulkan"])
     args = parser.parse_args(["campaign", "merge", "a", "b", "--out", "m"])
     assert args.shards == ["a", "b"] and args.out == "m"
     for bad_shard in ("2/2", "x/2", "1", "-1/2", "1/0"):
@@ -211,3 +206,31 @@ def test_cli_rejects_bad_input_without_traceback(capsys, argv, message):
     assert last_line.startswith("repro-ht")
     assert f"error: {message}" in last_line
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["campaign", "run", "--retries", "-1"], "max_retries must be >= 0"),
+    (["campaign", "run", "--pk-pairs", "0"], "num_pk_pairs must be >= 1"),
+    (["campaign", "run", "--plaintexts", "0"],
+     "num_plaintexts must be >= 1"),
+    (["campaign", "run", "--spec", "{spec}"], "workers must be >= 1"),
+    (["attack", "sweep", "--retries", "-1"], "max_retries must be >= 0"),
+    (["attack", "recover", "--plaintexts", "0"],
+     "num_plaintexts must be >= 1"),
+])
+def test_cli_validates_final_spec(tmp_path, capsys, argv, message):
+    """Flag overrides and spec files are validated before any cell runs
+    or any output is written."""
+    spec_path = tmp_path / "bad_spec.json"
+    spec_path.write_text(json.dumps({"workers": 0}))
+    out = tmp_path / "out"
+    argv = [arg.format(spec=spec_path) for arg in argv]
+    argv += ["--trojan", "HT1", "--dies", "2"]
+    if argv[1] != "recover":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
