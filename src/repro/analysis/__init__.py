@@ -40,7 +40,6 @@ from .stats import (
     mad,
     normalised_difference,
     robust_zscore,
-    welch_t_test,
 )
 from .traces import (
     abs_difference,
@@ -81,7 +80,6 @@ __all__ = [
     "mad",
     "normalised_difference",
     "robust_zscore",
-    "welch_t_test",
     "abs_difference",
     "as_samples",
     "difference",

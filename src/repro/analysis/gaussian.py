@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -26,18 +25,6 @@ class GaussianFit:
     def __post_init__(self) -> None:
         if self.std < 0:
             raise ValueError("std must be non-negative")
-
-    def pdf(self, x: Sequence[float]) -> np.ndarray:
-        """Probability density at ``x``."""
-        if self.std == 0:
-            raise ValueError("pdf undefined for a degenerate (std=0) fit")
-        return stats.norm.pdf(np.asarray(x, dtype=float), self.mean, self.std)
-
-    def cdf(self, x: float) -> float:
-        """Cumulative probability below ``x``."""
-        if self.std == 0:
-            return float(x >= self.mean)
-        return float(stats.norm.cdf(x, self.mean, self.std))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw samples from the fitted distribution."""

@@ -6,21 +6,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
-
-
-def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
-    """Welch's t-test between two samples; returns (statistic, p-value).
-
-    Used as a secondary check that a trojan population's metric really
-    differs from the golden population beyond process-variation noise.
-    """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.size < 2 or y.size < 2:
-        raise ValueError("both samples need at least two observations")
-    result = stats.ttest_ind(x, y, equal_var=False)
-    return float(result.statistic), float(result.pvalue)
 
 
 def normalised_difference(a: Sequence[float], b: Sequence[float]) -> float:

@@ -62,16 +62,22 @@ KNOWN_METRICS = KNOWN_EM_METRICS + KNOWN_DELAY_METRICS + KNOWN_FAULT_METRICS
 LEGACY_KERNEL_BACKENDS = ("numpy", "bitslice")
 
 #: Spec fields that hold sequences (a bare string is rejected, not split
-#: into characters) and fields that must hold integers.
+#: into characters), the sequences of names, and fields that must hold
+#: integers.
 _SEQUENCE_FIELDS = ("trojans", "die_counts", "variants", "metrics",
                     "glitch_offsets_ps", "glitch_widths_ps",
                     "glitch_periods_ps")
+_STRING_LIST_FIELDS = ("trojans", "metrics")
 _INTEGER_FIELDS = ("seed", "workers", "max_retries", "num_pk_pairs",
                    "delay_repetitions", "num_plaintexts")
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def apply_em_overrides(config: EMAcquisitionConfig,
@@ -149,6 +155,32 @@ class AcquisitionVariant:
 #: The unmodified paper bench.
 DEFAULT_VARIANT = AcquisitionVariant(name="paper")
 
+_VARIANT_KEYS = {"name", "em_overrides"}
+
+
+def _variants_from_json(entries: Sequence[Any]
+                        ) -> Tuple[AcquisitionVariant, ...]:
+    """``variants`` of a JSON spec: a list of ``{"name", "em_overrides"}``."""
+    variants = []
+    for index, entry in enumerate(entries):
+        where = f"variants[{index}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{where} must be an object with a 'name', "
+                             f"got {entry!r}")
+        unknown = sorted(set(entry) - _VARIANT_KEYS)
+        if unknown or "name" not in entry:
+            raise ValueError(f"{where} needs a 'name' and at most "
+                             f"'em_overrides'; got keys {sorted(entry)}")
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"{where}.name must be a string, got "
+                             f"{entry['name']!r}")
+        overrides = entry.get("em_overrides")
+        if not (overrides is None or isinstance(overrides, Mapping)):
+            raise ValueError(f"{where}.em_overrides must be an object, got "
+                             f"{overrides!r}")
+        variants.append(AcquisitionVariant.make(entry["name"], overrides))
+    return tuple(variants)
+
 
 @dataclass(frozen=True)
 class GridCell:
@@ -222,13 +254,32 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         for name in _SEQUENCE_FIELDS:
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a list, not the bare "
-                                 f"string {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes, Mapping)) or not isinstance(
+                    value, Sequence):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        for name in _STRING_LIST_FIELDS:
+            values = getattr(self, name)
+            if not all(isinstance(value, str) for value in values):
+                raise ValueError(f"{name} must be strings, got "
+                                 f"{list(values)!r}")
+        for name in ("plaintext", "key"):
+            if not isinstance(getattr(self, name), bytes):
+                raise ValueError(f"{name} must be bytes (a hex string in "
+                                 f"JSON), got {getattr(self, name)!r}")
         for name in _INTEGER_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got "
                                  f"{getattr(self, name)!r}")
+        if not _is_real(self.retry_backoff_s):
+            raise ValueError(f"retry_backoff_s must be a number, got "
+                             f"{self.retry_backoff_s!r}")
+        if not (self.cell_timeout_s is None
+                or _is_real(self.cell_timeout_s)):
+            raise ValueError(f"cell_timeout_s must be a number or null, got "
+                             f"{self.cell_timeout_s!r}")
         if not all(map(_is_int, self.die_counts)):
             raise ValueError(f"die_counts must be integers, got "
                              f"{list(self.die_counts)!r}")
@@ -286,6 +337,9 @@ class CampaignSpec:
             raise ValueError("num_plaintexts must be >= 1")
         for axis_name in ("glitch_offsets_ps", "glitch_widths_ps",
                           "glitch_periods_ps"):
+            if not all(map(_is_real, getattr(self, axis_name))):
+                raise ValueError(f"{axis_name} must be numbers, got "
+                                 f"{list(getattr(self, axis_name))!r}")
             values = tuple(float(v) for v in getattr(self, axis_name))
             if values and min(values) <= 0:
                 raise ValueError(f"{axis_name} must all be positive")
@@ -400,15 +454,16 @@ class CampaignSpec:
         kwargs: Dict[str, Any] = dict(payload)
         if kwargs.get("kernel_backend") in LEGACY_KERNEL_BACKENDS:
             del kwargs["kernel_backend"]
-        if "variants" in kwargs:
-            kwargs["variants"] = tuple(
-                AcquisitionVariant.make(entry["name"],
-                                        entry.get("em_overrides"))
-                for entry in kwargs["variants"]
-            )
+        if isinstance(kwargs.get("variants"), (list, tuple)):
+            kwargs["variants"] = _variants_from_json(kwargs["variants"])
         for key_name in ("plaintext", "key"):
             if isinstance(kwargs.get(key_name), str):
-                kwargs[key_name] = bytes.fromhex(kwargs[key_name])
+                try:
+                    kwargs[key_name] = bytes.fromhex(kwargs[key_name])
+                except ValueError:
+                    raise ValueError(
+                        f"{key_name} must be a hex string, got "
+                        f"{kwargs[key_name]!r}") from None
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(kwargs) - known
         if unknown:

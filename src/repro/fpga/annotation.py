@@ -41,7 +41,8 @@ def build_delay_annotation(design: GoldenDesign,
         Inter-die profile; its ``delay_scale`` multiplies every cell
         delay.  ``None`` means a nominal (typical) die.
     intra_die:
-        Intra-die variation field of that die; adds a per-cell offset.
+        Intra-die variation field of that die; adds a per-cell offset,
+        computed once per die by :meth:`GoldenDesign.intra_die_offsets`.
         ``None`` disables intra-die variation.
     extra_net_delays_ps:
         Additional routing delay per net, e.g. the capacitive loading a
@@ -65,7 +66,9 @@ def build_delay_annotation(design: GoldenDesign,
     cell_offsets: Dict[str, float] = {}
     positions = design.placement.cell_positions
     if intra_die is not None:
-        cell_offsets.update(intra_die.offsets_for(positions))
+        # The die's field is shared by every design on it: copy, never
+        # mutate it.
+        cell_offsets.update(design.intra_die_offsets(intra_die))
 
     if aggressor_positions and power_grid is not None:
         droop_offsets = power_grid.victim_delay_offsets_ps(

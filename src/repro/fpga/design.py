@@ -17,8 +17,8 @@ on tapped nets are added, mirroring the paper's FPGA-Editor methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from ..netlist.aes_round_circuit import AESLastRoundCircuit
 from ..netlist.netlist import Netlist
@@ -26,6 +26,9 @@ from .device import FPGADevice, aes_slice_budget, virtex5_lx30
 from .floorplan import Floorplan, default_floorplan
 from .placement import Placement, Placer
 from .routing import Router
+
+if TYPE_CHECKING:
+    from ..variation.intra_die import IntraDieVariation
 
 
 @dataclass
@@ -38,6 +41,10 @@ class GoldenDesign:
     placement: Placement
     router: Router
     net_delays_ps: Dict[str, float] = field(default_factory=dict)
+    #: Intra-die offsets of this placement, one field per die
+    #: (keyed on :meth:`IntraDieVariation.field_key`).
+    _intra_die_fields: Dict[tuple, Dict[str, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def netlist(self) -> Netlist:
@@ -70,6 +77,21 @@ class GoldenDesign:
             router=router,
             net_delays_ps=net_delays,
         )
+
+    def intra_die_offsets(self, variation: "IntraDieVariation"
+                          ) -> Mapping[str, float]:
+        """Read-only per-cell offsets of ``variation``'s die over this
+        placement.
+
+        Every design on a die, golden or infected, keeps the golden
+        placement, so all of them share the one field computed here.
+        """
+        key = variation.field_key()
+        offsets = self._intra_die_fields.get(key)
+        if offsets is None:
+            offsets = variation.offsets_for(self.placement.cell_positions)
+            self._intra_die_fields[key] = offsets
+        return MappingProxyType(offsets)
 
     # -- area accounting -----------------------------------------------------
 

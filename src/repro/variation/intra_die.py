@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,85 @@ DEFAULT_SIGMA_SPATIAL_PS = 6.0
 DEFAULT_SIGMA_RANDOM_PS = 4.0
 #: Number of random low-frequency modes composing the spatial field.
 _NUM_SPATIAL_MODES = 6
+
+# Constants of numpy's SeedSequence (a 4-word uint32 pool) and of the PCG64
+# 128-bit LCG it seeds.
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_MULT_L = 0xCA01F9DD
+_SS_MIX_MULT_R = 0x4973F715
+_SS_XSHIFT = np.uint32(16)
+_SS_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every uint32 ``e``.
+
+    The same hash as numpy's SeedSequence, run over all entropy words at
+    once: its hash constants evolve independently of the data, so each
+    step is one uint32 array operation.  Returns an ``(n, 4)`` uint64 array.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SS_XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_SS_MIX_MULT_L) * x - np.uint32(_SS_MIX_MULT_R) * y
+        return result ^ (result >> _SS_XSHIFT)
+
+    words = np.asarray(entropy, dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(words)] + [hashmix(np.zeros_like(words))
+                                   for _ in range(_SS_POOL_SIZE - 1)]
+        for src in range(_SS_POOL_SIZE):
+            for dst in range(_SS_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        hash_const = _SS_INIT_B
+        state = []
+        for index in range(2 * _SS_POOL_SIZE):
+            value = pool[index % _SS_POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _SS_MULT_B) & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append(value ^ (value >> _SS_XSHIFT))
+    return np.stack(state, axis=1).astype("<u4").view("<u8")
+
+
+def _first_standard_normals(entropy: Sequence[int]) -> np.ndarray:
+    """``np.random.default_rng(e).normal(0.0, 1.0)`` for every uint32 ``e``.
+
+    Constructing a Generator per value would dominate the cost of a
+    field.  Instead one reused PCG64 Generator is set, per value, to the
+    state ``default_rng(e)`` starts from (SeedSequence words hashed as
+    arrays, then PCG64's ``srandom`` step), so the draw itself is numpy's
+    own and bit-identical.
+    """
+    states = _seed_sequence_states(np.asarray(entropy, dtype=np.uint32))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg_state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg_state,
+                  "has_uint32": 0, "uinteger": 0}
+    normals = np.empty(len(states))
+    for index, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(
+            states.tolist()):
+        inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
+        initial = inc + ((seed_hi << 64) | seed_lo)
+        pcg_state["state"] = (initial * _PCG64_MULT + inc) & _MASK128
+        pcg_state["inc"] = inc
+        bit_generator.state = full_state
+        normals[index] = generator.normal(0.0, 1.0)
+    return normals
 
 
 @dataclass
@@ -74,40 +153,38 @@ class IntraDieVariation:
 
     # -- field evaluation ----------------------------------------------------
 
-    def spatial_field(self, coord: Tuple[int, int]) -> float:
-        """Value of the normalised spatially correlated field at ``coord``."""
-        row, col = coord
-        u = row / max(1, self.die_rows)
-        v = col / max(1, self.die_cols)
-        total = 0.0
-        for amplitude, freq_row, freq_col, phase in self._modes:
-            total += amplitude * math.cos(
-                2.0 * math.pi * (freq_row * u + freq_col * v) + phase
-            )
-        return total
-
-    def cell_offset_ps(self, cell_name: str, coord: Tuple[int, int]) -> float:
-        """Delay offset of one cell placed at ``coord``.
-
-        The random component is derived from a hash of the cell name and
-        the die seed, so it is stable per (die, cell) pair.
-        """
-        spatial = self.sigma_spatial_ps * self.spatial_field(coord)
-        # zlib.crc32 is stable across processes (unlike hash() on strings),
-        # so a (die, cell) pair always gets the same random offset.
-        cell_seed = zlib.crc32(f"{self.seed}:{cell_name}".encode("utf-8"))
-        random_part = float(
-            np.random.default_rng(cell_seed).normal(0.0, 1.0)
-        ) * self.sigma_random_ps
-        return spatial + random_part
+    def field_key(self) -> Tuple[int, float, float, int, int]:
+        """The parameters that determine this die's field over a placement."""
+        return (self.seed, self.sigma_spatial_ps, self.sigma_random_ps,
+                self.die_rows, self.die_cols)
 
     def offsets_for(self, cell_positions: Mapping[str, Tuple[int, int]]
                     ) -> Dict[str, float]:
-        """Delay offsets for every placed cell of a design."""
-        return {
-            name: self.cell_offset_ps(name, coord)
-            for name, coord in cell_positions.items()
-        }
+        """Delay offsets for every placed cell of a design.
+
+        The spatial term is evaluated as arrays over all cell coordinates,
+        one ``np.cos`` per mode.  The random term of a cell is the first
+        draw of ``default_rng(crc32(f"{seed}:{cell_name}")).normal(0, 1)``
+        (``zlib.crc32`` is stable across processes, unlike ``hash()``), so
+        it is stable per (die, cell) pair whatever the other cells are.
+        """
+        names = list(cell_positions)
+        coords = np.array([tuple(cell_positions[name]) for name in names],
+                          dtype=np.int64).reshape(-1, 2)
+        u = coords[:, 0] / max(1, self.die_rows)
+        v = coords[:, 1] / max(1, self.die_cols)
+        field_values = np.zeros(len(names))
+        for amplitude, freq_row, freq_col, phase in self._modes:
+            field_values += amplitude * np.cos(
+                2.0 * math.pi * (freq_row * u + freq_col * v) + phase
+            )
+        normals = _first_standard_normals(
+            [zlib.crc32(f"{self.seed}:{name}".encode("utf-8"))
+             for name in names]
+        )
+        offsets = (self.sigma_spatial_ps * field_values
+                   + normals * self.sigma_random_ps)
+        return dict(zip(names, offsets.tolist()))
 
     def total_sigma_ps(self) -> float:
         """Combined standard deviation of the per-cell offset."""

@@ -16,6 +16,8 @@ baselines.  Nothing under ``src/repro`` imports this package.
   the per-entry fault-capture walk;
 * :mod:`.trojan` — the trojans' per-cycle and per-encryption activity
   walks;
+* :mod:`.variation` — the per-cell intra-die offset (scalar spatial
+  field, one fresh Generator per cell);
 * :mod:`.campaigns` — the bare, unsupervised process pool the campaign
   supervisor replaced.
 """

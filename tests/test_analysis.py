@@ -23,7 +23,6 @@ from repro.analysis.stats import (
     mad,
     normalised_difference,
     robust_zscore,
-    welch_t_test,
 )
 from repro.analysis.traces import (
     abs_difference,
@@ -127,18 +126,14 @@ def test_signal_to_noise_ratio_increases_with_cleaner_traces(rng):
 # -- gaussian -----------------------------------------------------------------
 
 
-def test_fit_gaussian_and_pdf():
+def test_fit_gaussian():
     fit = fit_gaussian([1.0, 2.0, 3.0, 4.0])
     assert fit.mean == pytest.approx(2.5)
     assert fit.std > 0
-    assert fit.pdf([2.5])[0] > fit.pdf([10.0])[0]
-    assert fit.cdf(2.5) == pytest.approx(0.5)
     single = fit_gaussian([3.0])
     assert single.std == 0.0
     with pytest.raises(ValueError):
         fit_gaussian([])
-    with pytest.raises(ValueError):
-        single.pdf([1.0])
     with pytest.raises(ValueError):
         GaussianFit(0.0, -1.0)
 
@@ -208,14 +203,6 @@ def test_operating_point_raises_on_infeasible_budget():
 
 
 # -- stats --------------------------------------------------------------------
-
-
-def test_welch_t_test_detects_difference():
-    statistic, p_value = welch_t_test([1, 1.1, 0.9, 1.05], [2, 2.1, 1.9, 2.05])
-    assert p_value < 0.01
-    assert statistic != 0
-    with pytest.raises(ValueError):
-        welch_t_test([1.0], [1.0, 2.0])
 
 
 def test_normalised_difference_effect_size():

@@ -76,6 +76,26 @@ def test_spec_rejects_invalid_configurations(bad_kwargs):
     ({"max_retries": None}, "max_retries"),
     ({"num_pk_pairs": 1.5}, "num_pk_pairs"),
     ({"save_traces": "no"}, "save_traces"),
+    ({"retry_backoff_s": None}, "retry_backoff_s"),
+    ({"cell_timeout_s": "3"}, "cell_timeout_s"),
+    ({"name": 3}, "name"),
+    ({"variants": "x"}, "variants"),
+    ({"variants": 5}, "variants"),
+    ({"variants": ["x"]}, r"variants\[0\]"),
+    ({"variants": [{"bogus": 1}]}, r"variants\[0\]"),
+    ({"variants": [{"name": 3}]}, r"variants\[0\]\.name"),
+    ({"variants": [{"name": "a", "em_overrides": 5}]},
+     r"variants\[0\]\.em_overrides"),
+    ({"variants": {"name": "a"}}, "variants"),
+    ({"trojans": 5}, "trojans"),
+    ({"die_counts": 4}, "die_counts"),
+    ({"trojans": [["HT1"]]}, "trojans"),
+    ({"metrics": [{"l1": 1}]}, "metrics"),
+    ({"plaintext": 5}, "plaintext"),
+    ({"plaintext": "zz"}, "plaintext"),
+    ({"key": None}, "key"),
+    ({"glitch_offsets_ps": ["3"], "glitch_widths_ps": [1.0],
+      "glitch_periods_ps": [2.0]}, "glitch_offsets_ps"),
 ])
 def test_spec_from_dict_rejects_mistyped_fields(payload, field):
     """Wrong JSON types fail with a ValueError naming the field instead
@@ -305,9 +325,12 @@ def test_delay_cells_share_one_measurement(delay_campaign, monkeypatch):
 
 def test_delay_and_fault_cells_annotate_each_device_once(golden_design,
                                                         monkeypatch):
-    """Delay and fault cells of one die count share one device list, so
-    each (die, design) builds its intra-die field once; the extra build
-    is the golden die-0 fingerprint (label ``"GM"``)."""
+    """Delay and fault cells of one die count share one device list, and
+    every design on a die shares the die's one intra-die field: a 32-die
+    campaign computes exactly one field per distinct die (the golden
+    die-0 fingerprint ``"GM"`` included), never one for two dies."""
+    import dataclasses
+
     from repro.variation.intra_die import IntraDieVariation
 
     calls = []
@@ -318,16 +341,49 @@ def test_delay_and_fault_cells_annotate_each_device_once(golden_design,
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(IntraDieVariation, "offsets_for", counting)
+    # A fresh field memo: the session golden design may hold these dies.
+    golden = dataclasses.replace(golden_design)
     spec = CampaignSpec(
-        name="shared-devices", trojans=("HT1", "HT_seq"), die_counts=(3,),
+        name="shared-devices", trojans=("HT1", "HT2", "HT3"),
+        die_counts=(32,),
         metrics=("delay_max_difference", "fault_coverage"), seed=23,
         num_pk_pairs=2, delay_repetitions=2, num_plaintexts=2,
     )
-    result = CampaignEngine(spec, golden=golden_design).run()
+    engine = CampaignEngine(spec, golden=golden)
+    result = engine.run()
     assert [cell.metric for cell in result.cells] == [
         "delay_max_difference", "fault_coverage"]
-    num_dies = spec.die_counts[0]
-    assert len(calls) == num_dies * (1 + len(spec.trojans)) + 1
+    devices = engine._population_devices(spec.grid()[0])
+    die_seeds = [device.die.intra_die_seed for device in devices[:32]]
+    assert len(set(die_seeds)) == 32
+    assert sorted(calls) == sorted(die_seeds)
+
+    # The four designs of a die (Clean, HT1-3) hold one field key; the
+    # clean design's offsets are that field exactly.
+    keys = [device.intra_die_variation().field_key() for device in devices]
+    assert len(set(keys)) == 32
+    assert all(keys[die + 32 * design] == keys[die]
+               for die in range(32) for design in range(4))
+    annotations = [device.delay_annotation() for device in devices]
+    for die in range(32):
+        assert annotations[die].cell_offsets_ps == dict(
+            golden.intra_die_offsets(devices[die].intra_die_variation()))
+    assert len(calls) == 32
+
+    # Annotations copy the shared field: mutating one leaves the other
+    # designs on the die, and the field itself, untouched.
+    before = [dict(annotation.cell_offsets_ps) for annotation in annotations]
+    victim = annotations[32].cell_offsets_ps
+    for name in victim:
+        victim[name] += 1000.0
+    for index, annotation in enumerate(annotations):
+        if index != 32:
+            assert annotation.cell_offsets_ps == before[index]
+    field = golden.intra_die_offsets(devices[0].intra_die_variation())
+    assert dict(field) == original(devices[0].intra_die_variation(),
+                                   golden.placement.cell_positions)
+    with pytest.raises(TypeError):
+        field[next(iter(field))] = 0.0
 
 
 def test_delay_cell_detects_the_tapping_trojan(delay_campaign):

@@ -15,6 +15,7 @@
   a store with ``hasattr``.
 * Netlist evaluation has one kernel: no ``repro.backend`` seam, no
   ``bitslice`` module and no name that would select between kernels.
+* ``import repro.cli`` does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -209,3 +212,14 @@ def test_netlist_evaluation_has_no_kernel_fork():
         if fork_names:
             problems.append(f"{name} uses {fork_names}")
     assert not problems, "; ".join(problems)
+
+
+def test_cli_start_up_does_not_import_scipy_stats():
+    """``import repro.cli`` stays off ``scipy.stats``: it would cost more
+    start-up time than the rest of the package put together."""
+    code = ("import sys, repro.cli; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, check=True)
+    assert completed.stdout.strip() == "False"
